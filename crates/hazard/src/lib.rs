@@ -45,6 +45,8 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crossbeam_utils::CachePadded;
+
 /// Maximum number of threads that may simultaneously hold hazard pointers
 /// in one domain.
 pub const MAX_SLOTS: usize = 512;
@@ -69,7 +71,11 @@ unsafe impl Send for Retired {}
 /// Domains are usually `static`; every structure sharing a domain also
 /// shares its slots and scan costs.
 pub struct Domain {
-    slots: [Slot; MAX_SLOTS],
+    /// One cache line (or more) per slot: each slot is written by its
+    /// owning thread on every protect, so packed slots would put
+    /// different threads' hazards on one line and make every protect a
+    /// coherence miss for the neighbour.
+    slots: [CachePadded<Slot>; MAX_SLOTS],
     orphans: Mutex<Vec<Retired>>,
     /// Upper bound on slots ever used, to shorten scans.
     high_water: AtomicUsize,
@@ -82,10 +88,10 @@ struct Slot {
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
-const EMPTY_SLOT: Slot = Slot {
+const EMPTY_SLOT: CachePadded<Slot> = CachePadded::new(Slot {
     owner: AtomicUsize::new(0),
     hazard: AtomicPtr::new(std::ptr::null_mut()),
-};
+});
 
 impl Domain {
     /// Creates an empty domain (const, so domains can be `static`).
@@ -505,6 +511,19 @@ mod tests {
         h.clear();
         assert!(!IP_DOMAIN.is_protected(value.cast()));
         unsafe { drop(Box::from_raw(value)) };
+    }
+
+    #[test]
+    fn adjacent_slots_never_share_a_cache_line() {
+        // Whatever address the linker gives a domain, two threads' slots
+        // must sit at least one 64-byte line apart.
+        let first = std::ptr::addr_of!(TEST_DOMAIN.slots[0]) as usize;
+        let second = std::ptr::addr_of!(TEST_DOMAIN.slots[1]) as usize;
+        assert!(
+            second - first >= 64,
+            "slot stride is {} bytes",
+            second - first
+        );
     }
 
     #[test]

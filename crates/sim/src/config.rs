@@ -56,14 +56,6 @@ pub struct SimConfig {
     /// bounded virtual time. Set it well above the expected faultless
     /// completion time.
     pub watchdog_ns: u64,
-    /// Execution backend selector. `None` (the default) defers to the
-    /// `MSQ_SIM_WORKERS` environment variable; `Some(0)` forces the serial
-    /// token-passing backend; `Some(n)` for `n >= 1` selects the
-    /// frame-stepped backend with `n` commit workers. The backend is an
-    /// execution strategy only: every choice produces a byte-identical
-    /// [`crate::SimReport`] (test-enforced), so this field never changes
-    /// what a run computes — only how the host computes it.
-    pub sim_workers: Option<usize>,
 }
 
 impl SimConfig {
@@ -104,7 +96,6 @@ impl Default for SimConfig {
             trace_capacity: 0,
             seed: 0,
             watchdog_ns: 0,
-            sim_workers: None,
         }
     }
 }

@@ -213,25 +213,6 @@ impl FaultPlan {
     }
 }
 
-/// Marks the first unfired spec for `pid` whose trigger satisfies
-/// `matches` as fired and returns its action. Both execution backends
-/// resolve triggers through this one function, so fire-once bookkeeping
-/// cannot diverge between them.
-pub(crate) fn take_matching_fault(
-    plan: &FaultPlan,
-    fired: &mut [bool],
-    pid: usize,
-    matches: impl Fn(&FaultTrigger) -> bool,
-) -> Option<FaultAction> {
-    for (i, spec) in plan.specs.iter().enumerate() {
-        if spec.pid == pid && !fired[i] && matches(&spec.trigger) {
-            fired[i] = true;
-            return Some(spec.action);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,25 +29,19 @@
 //! Algorithms do not know they are being simulated: [`SimPlatform`]
 //! implements [`msq_platform::Platform`], and each simulated process runs
 //! the ordinary Rust implementation of its algorithm on a dedicated worker
-//! thread. Two execution backends produce the identical schedule:
+//! thread. Only one process thread executes at a time: an execution token
+//! passes to the process chosen by the virtual-time rule, so the
+//! simulation is sequentialized and deterministic regardless of host
+//! parallelism. The same configuration and fault plan always produce the
+//! same [`SimReport`] — the `backend_equivalence` integration test replays
+//! every contender, scale, fault plan and scenario shape twice to
+//! enforce it.
 //!
-//! * **Serial token backend** (the default): only one process thread
-//!   executes at a time — a token passes to the process chosen by the
-//!   virtual-time rule — so the simulation is sequentialized and
-//!   deterministic regardless of host parallelism.
-//! * **Frame-stepped backend** (`MSQ_SIM_WORKERS=n` or
-//!   [`SimConfig::sim_workers`]): process threads park their next
-//!   shared-memory effect at a frame barrier; an engine commits effects
-//!   in the serial backend's exact order, batching provably-independent
-//!   commits (distinct cells, tied minimum clocks) across a worker pool.
-//!   Every [`SimReport`] is byte-identical to the serial backend's — the
-//!   `backend_equivalence` integration test enforces it.
-//!
-//! Seed sweeps ([`schedule_sweep`]) additionally parallelize across
-//! *runs*: independent seeds dispatch onto `MSQ_SWEEP_LANES` host
-//! threads (default: one per available core), with failures always
-//! reported at the minimal failing seed index, exactly as the serial
-//! sweep would.
+//! Parallelism lives one level up, across *runs*: seed sweeps
+//! ([`schedule_sweep`]) dispatch independent seeds onto
+//! `MSQ_SWEEP_LANES` host threads (default: one per available core),
+//! with failures always reported at the minimal failing seed index,
+//! exactly as a one-lane sweep would.
 //!
 //! # Example
 //!
@@ -74,9 +68,7 @@
 
 mod config;
 mod core;
-mod engine;
 mod fault;
-mod frame;
 mod platform;
 mod recovery;
 mod report;
@@ -84,7 +76,6 @@ mod runner;
 mod sweep;
 
 pub use config::SimConfig;
-pub use engine::env_workers;
 pub use fault::{FaultAction, FaultPlan, FaultSpec, FaultTrigger};
 pub use platform::{SimCell, SimPlatform};
 pub use recovery::RecoveryPolicy;

@@ -6,8 +6,7 @@ use std::sync::Arc;
 
 use msq_platform::{AtomicWord, Platform};
 
-use crate::core::MemOp;
-use crate::engine::EngineShared;
+use crate::core::{MemOp, SimShared};
 
 thread_local! {
     /// The simulated process id bound to the current worker thread, or
@@ -43,11 +42,11 @@ fn current_pid() -> Option<usize> {
 /// nothing, mirroring the paper's untimed initialization.
 #[derive(Clone)]
 pub struct SimPlatform {
-    shared: Arc<EngineShared>,
+    shared: Arc<SimShared>,
 }
 
 impl SimPlatform {
-    pub(crate) fn new(shared: Arc<EngineShared>) -> Self {
+    pub(crate) fn new(shared: Arc<SimShared>) -> Self {
         SimPlatform { shared }
     }
 
@@ -211,7 +210,7 @@ impl Platform for SimPlatform {
 /// operations from other threads apply immediately and free of charge.
 pub struct SimCell {
     id: u32,
-    shared: Arc<EngineShared>,
+    shared: Arc<SimShared>,
 }
 
 impl SimCell {

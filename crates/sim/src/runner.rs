@@ -3,8 +3,7 @@
 use std::sync::Arc;
 
 use crate::config::SimConfig;
-use crate::core::ProcessKilled;
-use crate::engine::EngineShared;
+use crate::core::{ProcessKilled, SimShared};
 use crate::fault::FaultPlan;
 use crate::platform::{bind_current_process, unbind_current_process, SimPlatform};
 use crate::report::SimReport;
@@ -27,7 +26,7 @@ pub struct ProcessInfo {
 /// once with the per-process body. The platform handle (and any cells)
 /// remain usable afterwards for untimed inspection.
 pub struct Simulation {
-    shared: Arc<EngineShared>,
+    shared: Arc<SimShared>,
     cfg: SimConfig,
 }
 
@@ -61,13 +60,8 @@ impl Simulation {
     /// `0..cfg.num_processes()`.
     pub fn with_faults(cfg: SimConfig, plan: FaultPlan) -> Self {
         cfg.validate();
-        // The backend (serial token vs frame-stepped, and the worker
-        // count) is resolved here, once, from `cfg.sim_workers` or the
-        // `MSQ_SIM_WORKERS` environment variable — so every consumer of
-        // `Simulation`, harnesses and direct users alike, obeys the same
-        // selection. The choice never affects the report (test-enforced).
         Simulation {
-            shared: Arc::new(EngineShared::build(cfg, plan)),
+            shared: Arc::new(SimShared::with_plan(cfg, plan)),
             cfg,
         }
     }
@@ -145,7 +139,8 @@ impl Simulation {
                     .expect("spawn simulated process"),
             );
         }
-        self.shared.run_to_completion();
+        self.shared.start();
+        self.shared.wait_all_done();
         let mut worker_panic = None;
         for handle in handles {
             if let Err(panic) = handle.join() {

@@ -31,10 +31,9 @@ use crate::core::splitmix64;
 ///
 /// On failure, prints the minimal failing sweep index and seed — the
 /// shrunk, single-schedule reproduction — plus a ready-to-paste
-/// `MSQ_SWEEP_SEED=<seed> MSQ_SIM_WORKERS=<n> cargo test …` command line
-/// naming the execution backend the sweep ran under, and resumes the
-/// panic. Setting `MSQ_SWEEP_SEED` pins the sweep to that single seed
-/// (the printed reproducer does exactly this).
+/// `MSQ_SWEEP_SEED=<seed> cargo test -q <test>` command line, and
+/// resumes the panic. Setting `MSQ_SWEEP_SEED` pins the sweep to that
+/// single seed (the printed reproducer does exactly this).
 ///
 /// # Example
 ///
@@ -98,7 +97,7 @@ where
                 ..base
             };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(cfg))) {
-                report_failure(&test, index, seeds, cfg.seed);
+                eprintln!("{}", failure_message(&test, index, seeds, cfg.seed));
                 resume_unwind(payload);
             }
         }
@@ -140,14 +139,17 @@ where
         }
     });
     if let Some((index, payload)) = failed.into_inner().expect("sweep failure slot") {
-        report_failure(&test, index, seeds, sweep_seed(index));
+        eprintln!(
+            "{}",
+            failure_message(&test, index, seeds, sweep_seed(index))
+        );
         resume_unwind(payload);
     }
     report_timing(&test, seeds, lanes, started);
 }
 
 /// One wall-clock line per completed sweep, so CI logs show what the
-/// lanes (and the per-run backend) buy on the sweep-heavy suites.
+/// lanes buy on the sweep-heavy suites.
 /// Opt-in via `MSQ_SWEEP_TIMINGS=1`: `eprintln!` bypasses the test
 /// harness's output capture, so unconditional per-sweep lines would
 /// spam every `cargo test -q` run of the sweep-heavy suites. CI lanes
@@ -157,8 +159,7 @@ fn report_timing(test: &str, seeds: u64, lanes: usize, started: std::time::Insta
         return;
     }
     eprintln!(
-        "schedule_sweep: {test}: {seeds} seeds x {lanes} lane(s) ({}) in {:.3}s wall-clock",
-        crate::engine::backend_label(crate::engine::env_workers()),
+        "schedule_sweep: {test}: {seeds} seeds x {lanes} lane(s) in {:.3}s wall-clock",
         started.elapsed().as_secs_f64()
     );
 }
@@ -182,15 +183,12 @@ fn sweep_seed(index: u64) -> u64 {
     }
 }
 
-fn report_failure(test: &str, index: u64, seeds: u64, seed: u64) {
-    let workers = crate::engine::env_workers();
-    let backend = crate::engine::backend_label(workers);
-    eprintln!(
+fn failure_message(test: &str, index: u64, seeds: u64, seed: u64) -> String {
+    format!(
         "schedule_sweep: minimal failing schedule at sweep index {index} \
-         of {seeds} (ran under the {backend}); reproduce with \
-         `SimConfig {{ seed: {seed:#x}, .. }}` or:\n    \
-         MSQ_SWEEP_SEED={seed} MSQ_SIM_WORKERS={workers} cargo test -q {test}"
-    );
+         of {seeds}; reproduce with `SimConfig {{ seed: {seed:#x}, .. }}` or:\n    \
+         MSQ_SWEEP_SEED={seed} cargo test -q {test}"
+    )
 }
 
 /// Lane count when the caller does not pick one: `MSQ_SWEEP_LANES` if
@@ -322,6 +320,17 @@ mod tests {
             runs.load(Ordering::Relaxed),
             4,
             "a single lane stops at the first failure (indices 0..=3 ran)"
+        );
+    }
+
+    #[test]
+    fn failure_report_is_a_pasteable_reproducer() {
+        let message = failure_message("suite::case", 3, 16, 0x2a);
+        assert!(message.contains("sweep index 3 of 16"), "{message}");
+        assert!(message.contains("seed: 0x2a"), "{message}");
+        assert!(
+            message.ends_with("\n    MSQ_SWEEP_SEED=42 cargo test -q suite::case"),
+            "{message}"
         );
     }
 

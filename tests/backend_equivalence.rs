@@ -1,33 +1,40 @@
-//! The determinism contract of the parallel frame-stepped backend as a
-//! committed test, not a claim: for every registered contender, the
-//! `SimReport` produced by the serial token backend is byte-identical to
-//! the one produced by the frame-stepped backend at 1, 2, and 8 workers —
-//! across a 16-seed schedule sweep, at high processor counts, and under a
-//! fault plan that kills a process mid-enqueue.
+//! The simulator's determinism contract as a committed test, not a
+//! claim: the same `SimConfig` and `FaultPlan` run twice produce equal
+//! `SimReport`s, field for field. Each replay spawns fresh process
+//! threads that the host schedules differently, so equality shows the
+//! report depends only on the configuration. Coverage: every registered
+//! contender across a 16-seed schedule sweep, 64 and 128 processors,
+//! kill/stall/preempt/watchdog/recovery/repair fault plans, and the three
+//! scenario shapes. The unified scenario driver is also pinned
+//! byte-identical to the pre-refactor inline loops.
+//!
+//! The file and test names date from when these tests compared a serial
+//! and a frame-stepped backend; they are kept so test history stays
+//! continuous across that backend's removal (DESIGN.md §12).
 
+use std::fmt::Display;
 use std::sync::Arc;
 
 use ms_queues::platform::Platform;
 use ms_queues::{Algorithm, AtomicWord, FaultPlan, SimConfig, SimReport, Simulation};
 
-/// Worker counts under test: serial token backend (0) against the
-/// frame-stepped backend at one, a few, and many workers.
-const WORKER_COUNTS: [usize; 4] = [0, 1, 2, 8];
+/// Runs `run` twice and asserts the two reports are equal; returns the
+/// first.
+fn assert_replays(what: impl Display, run: impl Fn() -> SimReport) -> SimReport {
+    let first = run();
+    let replay = run();
+    assert_eq!(first, replay, "{what}: replay diverged from the first run");
+    first
+}
 
 /// Drives `algorithm` through an enqueue/dequeue pairs workload on a
-/// simulation configured by `cfg` (with `sim_workers` overridden per call)
-/// and returns the full report.
+/// simulation configured by `cfg` and returns the full report.
 fn run_report(
     algorithm: Algorithm,
     cfg: SimConfig,
     plan: FaultPlan,
-    workers: usize,
     pairs_per_process: u64,
 ) -> SimReport {
-    let cfg = SimConfig {
-        sim_workers: Some(workers),
-        ..cfg
-    };
     let sim = Simulation::with_faults(cfg, plan);
     let platform = sim.platform();
     let queue = algorithm.build(&platform, 1_024);
@@ -49,27 +56,23 @@ fn run_report(
     })
 }
 
-/// Asserts that every frame-stepped worker count reproduces the serial
-/// token backend's report exactly, field for field.
-fn assert_backends_agree(
+/// Asserts that `algorithm`'s pairs workload under `cfg` and `plan`
+/// replays to an equal report.
+fn assert_pairs_replay(
     algorithm: Algorithm,
     cfg: SimConfig,
     plan: &FaultPlan,
     pairs_per_process: u64,
 ) {
-    let serial = run_report(algorithm, cfg, plan.clone(), 0, pairs_per_process);
-    for workers in WORKER_COUNTS.into_iter().skip(1) {
-        let parallel = run_report(algorithm, cfg, plan.clone(), workers, pairs_per_process);
-        assert_eq!(
-            serial,
-            parallel,
-            "{label}: frame-stepped backend with {workers} workers diverged \
-             from serial token backend (seed {seed}, {procs} processors)",
+    assert_replays(
+        format_args!(
+            "{label} (seed {seed}, {procs} processors)",
             label = algorithm.label(),
             seed = cfg.seed,
             procs = cfg.processors,
-        );
-    }
+        ),
+        || run_report(algorithm, cfg, plan.clone(), pairs_per_process),
+    );
 }
 
 fn sweep_config(seed: u64) -> SimConfig {
@@ -93,7 +96,7 @@ fn sweep_seeds() -> Vec<u64> {
 fn every_contender_is_byte_identical_across_backends_over_a_seed_sweep() {
     for algorithm in Algorithm::WITH_EXTENSIONS {
         for seed in sweep_seeds() {
-            assert_backends_agree(algorithm, sweep_config(seed), &FaultPlan::new(), 20);
+            assert_pairs_replay(algorithm, sweep_config(seed), &FaultPlan::new(), 20);
         }
     }
 }
@@ -107,7 +110,7 @@ fn backends_agree_at_high_processor_counts() {
                 seed: 7,
                 ..SimConfig::default()
             };
-            assert_backends_agree(algorithm, cfg, &FaultPlan::new(), 4);
+            assert_pairs_replay(algorithm, cfg, &FaultPlan::new(), 4);
         }
     }
 }
@@ -115,19 +118,19 @@ fn backends_agree_at_high_processor_counts() {
 #[test]
 fn backends_agree_under_a_kill_fault_on_the_nonblocking_queue() {
     // Killing a process inside the M&S enqueue window leaves a recoverable
-    // half-finished operation; the run completes either way, and both
-    // backends must report the identical kill, clocks, and counters.
+    // half-finished operation; the run completes either way, and every
+    // replay must report the identical kill, clocks, and counters.
     let algorithm = Algorithm::NewNonBlocking;
     for seed in [0, 11, 42, 1_000_003] {
         let plan = FaultPlan::new().kill_at_label(1, algorithm.enqueue_fault_label(), 2);
-        assert_backends_agree(algorithm, sweep_config(seed), &plan, 20);
+        assert_pairs_replay(algorithm, sweep_config(seed), &plan, 20);
     }
 }
 
 #[test]
 fn backends_agree_under_a_kill_fault_on_the_lock_queue_with_watchdog() {
     // Killing the lock holder wedges every other process; the watchdog
-    // detects the stall and both backends must produce the identical
+    // detects the stall and every replay must produce the identical
     // blocked-process verdict at the identical virtual instant.
     let algorithm = Algorithm::SingleLock;
     for seed in [0, 13, 97] {
@@ -136,7 +139,7 @@ fn backends_agree_under_a_kill_fault_on_the_lock_queue_with_watchdog() {
             ..sweep_config(seed)
         };
         let plan = FaultPlan::new().kill_at_label(0, algorithm.enqueue_fault_label(), 1);
-        assert_backends_agree(algorithm, cfg, &plan, 20);
+        assert_pairs_replay(algorithm, cfg, &plan, 20);
     }
 }
 
@@ -147,18 +150,14 @@ fn backends_agree_under_a_kill_fault_on_the_lock_queue_with_watchdog() {
 /// `mark_recovered`. The death board, the progress cells, and the recovery
 /// record are all ordinary scheduler traffic, so the whole recovery
 /// schedule — including `recoveries` and the derived time-to-recover —
-/// must replay byte-identically on every backend.
-fn run_recovery_report(cfg: SimConfig, plan: FaultPlan, workers: usize) -> SimReport {
+/// must replay byte-identically.
+fn run_recovery_report(cfg: SimConfig, plan: FaultPlan) -> SimReport {
     const PAIRS: u64 = 20;
-    let cfg = SimConfig {
-        sim_workers: Some(workers),
-        ..cfg
-    };
     let sim = Simulation::with_faults(cfg, plan);
     let platform = sim.platform();
     let queue = Algorithm::NewNonBlocking.build(&platform, 1_024);
     let n = sim.num_processes();
-    // Untimed setup so every backend sees identical cell ids.
+    // Untimed setup so every replay sees identical cell ids.
     let progress: Arc<Vec<_>> = Arc::new((0..n).map(|_| platform.alloc_cell(0)).collect());
     let board = Arc::new(platform.death_board());
     sim.run({
@@ -225,25 +224,19 @@ fn backends_agree_under_a_recovery_enabled_kill() {
         };
         let plan =
             FaultPlan::new().kill_at_label(1, Algorithm::NewNonBlocking.dequeue_fault_label(), 0);
-        let serial = run_recovery_report(cfg, plan.clone(), 0);
-        assert_eq!(serial.killed, vec![1], "seed {seed}");
+        let report = assert_replays(format_args!("recovery run (seed {seed})"), || {
+            run_recovery_report(cfg, plan.clone())
+        });
+        assert_eq!(report.killed, vec![1], "seed {seed}");
         assert_eq!(
-            serial.recoveries.len(),
+            report.recoveries.len(),
             1,
             "seed {seed}: pid 0 absorbed the victim"
         );
         assert!(
-            serial.time_to_recover_ns().expect("one handoff completed") > 0,
+            report.time_to_recover_ns().expect("one handoff completed") > 0,
             "seed {seed}"
         );
-        for workers in WORKER_COUNTS.into_iter().skip(1) {
-            let parallel = run_recovery_report(cfg, plan.clone(), workers);
-            assert_eq!(
-                serial, parallel,
-                "recovery run: frame-stepped backend with {workers} workers \
-                 diverged from serial token backend (seed {seed})"
-            );
-        }
     }
 }
 
@@ -253,17 +246,8 @@ fn backends_agree_under_a_recovery_enabled_kill() {
 /// Revocation probes, death-board loads, and the repair record itself
 /// are all ordinary scheduler traffic, so the whole dispossession
 /// schedule — `repairs`, `blocked_kinds`, and the derived
-/// time-to-repair — must replay byte-identically on every backend.
-fn run_repair_report(
-    algorithm: Algorithm,
-    cfg: SimConfig,
-    plan: FaultPlan,
-    workers: usize,
-) -> SimReport {
-    let cfg = SimConfig {
-        sim_workers: Some(workers),
-        ..cfg
-    };
+/// time-to-repair — must replay byte-identically.
+fn run_repair_report(algorithm: Algorithm, cfg: SimConfig, plan: FaultPlan) -> SimReport {
     let sim = Simulation::with_faults(cfg, plan);
     let platform = sim.platform();
     let queue = algorithm.build_repairable(&platform, 1_024);
@@ -298,28 +282,23 @@ fn backends_agree_under_a_repair_enabled_kill() {
                 ..sweep_config(seed)
             };
             let plan = FaultPlan::new().kill_at_label(1, label, 0);
-            let serial = run_repair_report(algorithm, cfg, plan.clone(), 0);
-            assert_eq!(serial.killed, vec![1], "{algorithm} seed {seed}");
+            let report = assert_replays(
+                format_args!("repair run ({algorithm}, seed {seed})"),
+                || run_repair_report(algorithm, cfg, plan.clone()),
+            );
+            assert_eq!(report.killed, vec![1], "{algorithm} seed {seed}");
             assert!(
-                serial.blocked.is_empty(),
+                report.blocked.is_empty(),
                 "{algorithm} seed {seed}: repair must beat the watchdog"
             );
-            assert_eq!(serial.repairs.len(), 1, "{algorithm} seed {seed}");
+            assert_eq!(report.repairs.len(), 1, "{algorithm} seed {seed}");
             assert!(
-                serial
+                report
                     .time_to_repair_ns()
                     .expect("one dispossession completed")
                     > 0,
                 "{algorithm} seed {seed}"
             );
-            for workers in WORKER_COUNTS.into_iter().skip(1) {
-                let parallel = run_repair_report(algorithm, cfg, plan.clone(), workers);
-                assert_eq!(
-                    serial, parallel,
-                    "repair run: frame-stepped backend with {workers} workers \
-                     diverged from serial token backend ({algorithm}, seed {seed})"
-                );
-            }
         }
     }
 }
@@ -330,13 +309,13 @@ fn backends_agree_under_stall_and_preempt_faults() {
     let plan = FaultPlan::new()
         .stall_at_label(0, algorithm.enqueue_fault_label(), 1, 2_000_000)
         .preempt_at_label(2, algorithm.enqueue_fault_label(), 3);
-    assert_backends_agree(algorithm, sweep_config(5), &plan, 20);
+    assert_pairs_replay(algorithm, sweep_config(5), &plan, 20);
 }
 
 // ---------------------------------------------------------------------------
 // The scenario engine under the same contract: every new workload shape
-// must be byte-identical across backends, and every legacy entry point
-// must be byte-identical to its pre-refactor inline loop.
+// must replay byte-identically, and every legacy entry point must be
+// byte-identical to its pre-refactor inline loop.
 // ---------------------------------------------------------------------------
 
 use ms_queues::{
@@ -353,42 +332,32 @@ fn scenario_workload() -> WorkloadConfig {
     }
 }
 
-/// Runs `scenario` through the unified driver at `workers` frame-stepped
-/// workers (0 = the serial token backend) and returns the raw report.
+/// Runs `scenario` through the unified driver and returns the raw report.
 fn scenario_report<S: Scenario<SimPlatform> + Clone>(
     algorithm: Algorithm,
     cfg: SimConfig,
     scenario: &S,
     plan: FaultPlan,
-    workers: usize,
 ) -> SimReport {
-    let cfg = SimConfig {
-        sim_workers: Some(workers),
-        ..cfg
-    };
     run_scenario_simulated(algorithm, cfg, scenario.clone(), plan)
         .sim_report
         .expect("simulated run carries a report")
 }
 
-fn assert_scenario_backends_agree<S: Scenario<SimPlatform> + Clone>(
+fn assert_scenario_replays<S: Scenario<SimPlatform> + Clone>(
     name: &str,
     algorithm: Algorithm,
     cfg: SimConfig,
     scenario: &S,
 ) {
-    let serial = scenario_report(algorithm, cfg, scenario, FaultPlan::new(), 0);
-    for workers in WORKER_COUNTS.into_iter().skip(1) {
-        let parallel = scenario_report(algorithm, cfg, scenario, FaultPlan::new(), workers);
-        assert_eq!(
-            serial,
-            parallel,
-            "{name} scenario on {label}: frame-stepped backend with {workers} workers \
-             diverged from serial token backend (seed {seed})",
+    assert_replays(
+        format_args!(
+            "{name} scenario on {label} (seed {seed})",
             label = algorithm.label(),
             seed = cfg.seed,
-        );
-    }
+        ),
+        || scenario_report(algorithm, cfg, scenario, FaultPlan::new()),
+    );
 }
 
 #[test]
@@ -398,7 +367,7 @@ fn stealing_scenario_is_byte_identical_across_backends() {
     };
     for algorithm in [Algorithm::NewNonBlocking, Algorithm::NewTwoLock] {
         for seed in [0, 11, 42] {
-            assert_scenario_backends_agree("stealing", algorithm, sweep_config(seed), &scenario);
+            assert_scenario_replays("stealing", algorithm, sweep_config(seed), &scenario);
         }
     }
 }
@@ -411,7 +380,7 @@ fn pipeline_scenario_is_byte_identical_across_backends() {
     };
     for algorithm in [Algorithm::NewNonBlocking, Algorithm::SingleLock] {
         for seed in [0, 11, 42] {
-            assert_scenario_backends_agree("pipeline", algorithm, sweep_config(seed), &scenario);
+            assert_scenario_replays("pipeline", algorithm, sweep_config(seed), &scenario);
         }
     }
 }
@@ -420,7 +389,7 @@ fn pipeline_scenario_is_byte_identical_across_backends() {
 fn open_loop_scenario_is_byte_identical_across_backends() {
     // The latency samples ride inside the SimReport (its `latencies`
     // field), so this equality also pins the whole latency distribution
-    // — percentiles included — across backends.
+    // — percentiles included — across replays.
     let scenario = OpenLoopScenario {
         workload: scenario_workload(),
         mean_gap_ns: 2_000,
@@ -428,7 +397,7 @@ fn open_loop_scenario_is_byte_identical_across_backends() {
     };
     for algorithm in [Algorithm::NewNonBlocking, Algorithm::NewTwoLock] {
         for seed in [0, 11, 42] {
-            assert_scenario_backends_agree("open-loop", algorithm, sweep_config(seed), &scenario);
+            assert_scenario_replays("open-loop", algorithm, sweep_config(seed), &scenario);
         }
     }
 }
@@ -443,21 +412,10 @@ fn stealing_scenario_backends_agree_under_a_producer_kill() {
         ..sweep_config(11)
     };
     let plan = FaultPlan::new().kill_at_label(1, "msq:enq:window", 0);
-    let serial = scenario_report(Algorithm::NewNonBlocking, cfg, &scenario, plan.clone(), 0);
-    assert_eq!(serial.killed, vec![1]);
-    for workers in WORKER_COUNTS.into_iter().skip(1) {
-        let parallel = scenario_report(
-            Algorithm::NewNonBlocking,
-            cfg,
-            &scenario,
-            plan.clone(),
-            workers,
-        );
-        assert_eq!(
-            serial, parallel,
-            "killed stealing run: frame-stepped backend with {workers} workers diverged"
-        );
-    }
+    let report = assert_replays("killed stealing run", || {
+        scenario_report(Algorithm::NewNonBlocking, cfg, &scenario, plan.clone())
+    });
+    assert_eq!(report.killed, vec![1]);
 }
 
 /// The pre-refactor `run_simulated` loop, inlined verbatim: the legacy
@@ -590,7 +548,6 @@ fn unified_driver_reproduces_the_legacy_paired_loop_byte_identically() {
                 cfg,
                 &PairedScenario { workload },
                 FaultPlan::new(),
-                0,
             );
             assert_eq!(
                 old, new,
@@ -613,7 +570,6 @@ fn unified_driver_reproduces_the_legacy_paired_loop_byte_identically() {
             workload: scenario_workload(),
         },
         plan,
-        0,
     );
     assert_eq!(
         old, new,
@@ -652,7 +608,6 @@ fn unified_driver_reproduces_the_legacy_policy_loop_byte_identically() {
                 repairable,
             },
             plan,
-            0,
         );
         assert_eq!(
             old, new,
