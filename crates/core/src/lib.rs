@@ -19,7 +19,8 @@
 //! * [`EpochMsQueue`] — the same algorithm under crossbeam epoch-based
 //!   reclamation (the third answer to the reclamation question, for the
 //!   ablation benches);
-//! * [`TwoLockQueue`] — `TwoLockQueue<T>` over `parking_lot` mutexes; and
+//! * [`TwoLockQueue`] — `TwoLockQueue<T>` over `parking_lot` mutexes,
+//!   recycling its nodes through a bounded free list; and
 //! * [`LockFreeStack`] — Treiber's stack (the paper's free-list
 //!   algorithm) as a generic structure.
 //!

@@ -1,17 +1,77 @@
 //! `TwoLockQueue<T>`: the idiomatic, heap-allocated two-lock queue.
 
-use std::mem::MaybeUninit;
+use std::mem::{self, MaybeUninit};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
+/// Old dummies a dequeuer collects before handing them to the enqueuers.
+const CHAIN_LEN: usize = 32;
+
+/// Chains the shared free stack holds; a dequeuer that finds it full frees
+/// its chain instead.
+const MAX_SHARED_CHAINS: usize = 8;
+
+/// A non-null top of the free stack carries in its low bits the number of
+/// chains below it, at most 7; nodes are 8-aligned, so those bits are free.
+const TAG_MASK: usize = MAX_SHARED_CHAINS - 1;
+
+const _: () = assert!(MAX_SHARED_CHAINS.is_power_of_two() && MAX_SHARED_CHAINS <= 8);
+
+#[repr(align(8))]
 struct Node<T> {
-    /// Initialized for every node except the current dummy.
+    /// Initialized for every node in the queue except the current dummy;
+    /// uninitialized in the dummy and in every recycled node.
     value: MaybeUninit<T>,
-    /// Atomic because the single-element race (a dequeuer reading the
-    /// dummy's link while an enqueuer installs it) crosses the two locks.
+    /// The queue link, or the free-list link of a recycled node. Atomic
+    /// because the single-element race (a dequeuer reading the dummy's link
+    /// while an enqueuer installs it) crosses the two locks.
     next: AtomicPtr<Node<T>>,
+}
+
+impl<T> Node<T> {
+    fn alloc() -> *mut Node<T> {
+        Box::into_raw(Box::new(Node {
+            value: MaybeUninit::uninit(),
+            next: AtomicPtr::new(ptr::null_mut()),
+        }))
+    }
+}
+
+/// Frees a null-terminated list of nodes without dropping their values.
+///
+/// # Safety
+///
+/// The caller owns every node of the list, and none is reachable elsewhere.
+unsafe fn free_list<T>(mut node: *mut Node<T>) {
+    while !node.is_null() {
+        let boxed = Box::from_raw(node);
+        node = boxed.next.load(Ordering::Relaxed);
+    }
+}
+
+fn untag<T>(top: *mut Node<T>) -> *mut Node<T> {
+    top.map_addr(|addr| addr & !TAG_MASK)
+}
+
+/// What `H_lock` guards: `Head` and the chain of old dummies that has not
+/// yet been handed to the enqueuers.
+struct HeadEnd<T> {
+    dummy: *mut Node<T>,
+    /// Newest old dummy first; null-terminated at `chain_last`.
+    chain: *mut Node<T>,
+    chain_last: *mut Node<T>,
+    chain_len: usize,
+}
+
+/// What `T_lock` guards: `Tail` and the recycled nodes the enqueuers take
+/// before they allocate.
+struct TailEnd<T> {
+    last: *mut Node<T>,
+    /// Null-terminated list of nodes whose values are uninitialized.
+    spare: *mut Node<T>,
 }
 
 /// An unbounded FIFO queue with separate head and tail locks — the paper's
@@ -21,7 +81,19 @@ struct Node<T> {
 /// One enqueue and one dequeue can always proceed in parallel; multiple
 /// enqueuers (or multiple dequeuers) serialize on their respective lock.
 /// The dummy node keeps the two locks from ever being nested, so deadlock
-/// is impossible by construction.
+/// is impossible by construction. Each lock sits on its own cache line, so
+/// the two ends do not slow each other down through false sharing.
+///
+/// Nodes are recycled as in the paper's free list. A dequeuer gathers the
+/// dummies it unlinks into a chain under `H_lock`, and every 32 nodes
+/// pushes the whole chain onto a shared stack with one CAS. An
+/// enqueuer takes nodes from a chain under `T_lock`, refills it by taking
+/// the entire shared stack at once, and allocates only when both are empty.
+/// The shared stack holds at most 8 chains; a dequeuer that finds it full
+/// frees its chain. So however long the queue once grew, it keeps at most
+/// 543 spare nodes (256 on the stack, 256 with the enqueuers, 31 with the
+/// dequeuers) beyond those holding values and the dummy, plus, for each
+/// dequeuer caught between its unlock and its push, the chain in its hands.
 ///
 /// # Example
 ///
@@ -36,45 +108,70 @@ struct Node<T> {
 /// assert_eq!(queue.dequeue(), None);
 /// ```
 pub struct TwoLockQueue<T> {
-    head: Mutex<*mut Node<T>>,
-    tail: Mutex<*mut Node<T>>,
+    head: CachePadded<Mutex<HeadEnd<T>>>,
+    tail: CachePadded<Mutex<TailEnd<T>>>,
+    /// Treiber stack of whole chains. It is only ever pushed a chain or
+    /// emptied at once, never popped a node, so its CAS has no ABA problem.
+    free: AtomicPtr<Node<T>>,
 }
 
+// Safety: the raw pointers are owned by the queue. Values move between
+// threads by value, and every node is reached only under one of the locks
+// or through the free stack's swap and CAS, so `&TwoLockQueue<T>` never
+// shares a `&T`; `T: Send` is all the threads need.
 unsafe impl<T: Send> Send for TwoLockQueue<T> {}
 unsafe impl<T: Send> Sync for TwoLockQueue<T> {}
 
 impl<T> TwoLockQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let dummy = Box::into_raw(Box::new(Node {
-            value: MaybeUninit::uninit(),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
+        let dummy = Node::alloc();
         TwoLockQueue {
-            head: Mutex::new(dummy),
-            tail: Mutex::new(dummy),
+            head: CachePadded::new(Mutex::new(HeadEnd {
+                dummy,
+                chain: ptr::null_mut(),
+                chain_last: ptr::null_mut(),
+                chain_len: 0,
+            })),
+            tail: CachePadded::new(Mutex::new(TailEnd {
+                last: dummy,
+                spare: ptr::null_mut(),
+            })),
+            free: AtomicPtr::new(ptr::null_mut()),
         }
     }
 
     /// Adds `value` at the tail. Blocks only other enqueuers.
     pub fn enqueue(&self, value: T) {
-        let node = Box::into_raw(Box::new(Node {
-            value: MaybeUninit::new(value),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
         let mut tail = self.tail.lock();
-        // Safety: *tail is the last node, owned by the queue; we hold the
-        // tail lock, so no other enqueuer touches its next link.
-        unsafe { (**tail).next.store(node, Ordering::Release) };
-        *tail = node;
+        if tail.spare.is_null() && !self.free.load(Ordering::Relaxed).is_null() {
+            tail.spare = untag(self.free.swap(ptr::null_mut(), Ordering::Acquire));
+        }
+        let node = if tail.spare.is_null() {
+            Node::alloc()
+        } else {
+            let node = tail.spare;
+            // Safety: spare nodes belong to the tail lock's holder.
+            tail.spare = unsafe { (*node).next.load(Ordering::Relaxed) };
+            node
+        };
+        // Safety: `node` is ours alone until linked, and its value slot is
+        // uninitialized. *tail.last is the last node, owned by the queue;
+        // we hold the tail lock, so no other enqueuer touches its next link.
+        unsafe {
+            (*node).value.write(value);
+            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+            (*tail.last).next.store(node, Ordering::Release);
+        }
+        tail.last = node;
     }
 
     /// Removes and returns the head value, or `None` if the queue is
     /// empty. Blocks only other dequeuers.
     pub fn dequeue(&self) -> Option<T> {
         let mut head = self.head.lock();
-        let node = *head;
-        // Safety: *head is the dummy node, kept alive by the queue.
+        let node = head.dummy;
+        // Safety: head.dummy is the dummy node, kept alive by the queue.
         let next = unsafe { (*node).next.load(Ordering::Acquire) };
         if next.is_null() {
             return None;
@@ -83,22 +180,70 @@ impl<T> TwoLockQueue<T> {
         // not); exactly one dequeuer moves it out because Head advances
         // under the lock.
         let value = unsafe { ptr::read((*next).value.as_ptr()) };
-        *head = next;
+        head.dummy = next;
+        // The old dummy is unreachable: enqueuers only dereference Tail,
+        // which never points behind Head, and only dequeuers holding the
+        // head lock read a dummy's link. So it can join the chain.
+        // Safety: from here on `node` belongs to the head lock's holder.
+        unsafe { (*node).next.store(head.chain, Ordering::Relaxed) };
+        if head.chain.is_null() {
+            head.chain_last = node;
+        }
+        head.chain = node;
+        head.chain_len += 1;
+        let full = (head.chain_len == CHAIN_LEN).then(|| {
+            head.chain_len = 0;
+            (
+                mem::replace(&mut head.chain, ptr::null_mut()),
+                head.chain_last,
+            )
+        });
         drop(head);
-        // Free the old dummy outside the critical section (as in Figure 2):
-        // it is unreachable from Head, and enqueuers only dereference Tail,
-        // which never points behind Head.
-        // Safety: unlinked, allocated by Box::into_raw, freed exactly once;
-        // its value slot is uninitialized (it was the dummy).
-        unsafe { drop(Box::from_raw(node)) };
+        // Hand the chain over outside the critical section (as Figure 2
+        // frees the old dummy outside it).
+        if let Some((first, last)) = full {
+            self.recycle(first, last);
+        }
         Some(value)
+    }
+
+    /// Pushes the chain `first..=last` onto the shared stack, or frees it
+    /// if the stack already holds `MAX_SHARED_CHAINS` chains.
+    fn recycle(&self, first: *mut Node<T>, last: *mut Node<T>) {
+        let mut top = self.free.load(Ordering::Relaxed);
+        loop {
+            let held = if top.is_null() {
+                0
+            } else {
+                (top.addr() & TAG_MASK) + 1
+            };
+            if held == MAX_SHARED_CHAINS {
+                // Safety: the chain is ours; `last` may still link into the
+                // stack from a failed attempt, so cut it there first.
+                unsafe {
+                    (*last).next.store(ptr::null_mut(), Ordering::Relaxed);
+                    free_list(first);
+                }
+                return;
+            }
+            // Safety: the chain is ours until the CAS publishes it.
+            unsafe { (*last).next.store(untag(top), Ordering::Relaxed) };
+            let pushed = first.map_addr(|addr| addr | held);
+            match self
+                .free
+                .compare_exchange_weak(top, pushed, Ordering::Release, Ordering::Relaxed)
+            {
+                Ok(_) => return,
+                Err(seen) => top = seen,
+            }
+        }
     }
 
     /// Whether the queue was observed empty (snapshot semantics).
     pub fn is_empty(&self) -> bool {
         let head = self.head.lock();
         // Safety: dummy is alive while the queue is.
-        unsafe { (**head).next.load(Ordering::Acquire).is_null() }
+        unsafe { (*head.dummy).next.load(Ordering::Acquire).is_null() }
     }
 }
 
@@ -110,18 +255,19 @@ impl<T> Default for TwoLockQueue<T> {
 
 impl<T> Drop for TwoLockQueue<T> {
     fn drop(&mut self) {
-        let mut node = *self.head.lock();
-        let mut is_dummy = true;
-        while !node.is_null() {
-            // Safety: exclusive access during drop.
-            let boxed = unsafe { Box::from_raw(node) };
-            let next = boxed.next.load(Ordering::Relaxed);
-            if !is_dummy {
-                // Safety: non-dummy nodes hold initialized values.
-                unsafe { ptr::drop_in_place(boxed.value.as_ptr().cast_mut()) };
+        let head = self.head.get_mut();
+        // Safety: exclusive access during drop. Only the nodes after the
+        // dummy hold values; the dummy and every spare node hold none.
+        unsafe {
+            let mut node = (*head.dummy).next.load(Ordering::Relaxed);
+            while !node.is_null() {
+                ptr::drop_in_place((*node).value.as_mut_ptr());
+                node = (*node).next.load(Ordering::Relaxed);
             }
-            is_dummy = false;
-            node = next;
+            free_list(head.dummy);
+            free_list(head.chain);
+            free_list(self.tail.get_mut().spare);
+            free_list(untag(*self.free.get_mut()));
         }
     }
 }
@@ -158,6 +304,20 @@ mod tests {
             assert_eq!(q.dequeue(), Some(i));
         }
         assert_eq!(q.dequeue(), None);
+    }
+
+    #[test]
+    fn head_and_tail_locks_never_share_a_cache_line() {
+        // An enqueuer and a dequeuer each take only their own lock, so the
+        // two locks must sit at least one 64-byte line apart.
+        let q = TwoLockQueue::<u64>::new();
+        let head = std::ptr::addr_of!(q.head) as usize;
+        let tail = std::ptr::addr_of!(q.tail) as usize;
+        assert!(
+            head.abs_diff(tail) >= 64,
+            "head and tail locks are {} bytes apart",
+            head.abs_diff(tail)
+        );
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! test-and-test_and_set with bounded exponential backoff, the lock used
 //! in the paper's experiments. The heap-allocated
 //! [`TwoLockQueue`](crate::TwoLockQueue) is the same algorithm with
-//! `parking_lot` mutexes and `Box`ed nodes.
+//! `parking_lot` mutexes, one per cache line, and heap nodes recycled
+//! through a bounded free list.
 //!
 //! ## Section 3 (correctness) → executable checks
 //!

@@ -133,6 +133,36 @@ fn linearizable_small_windows_simulated(algorithm: Algorithm) {
     });
 }
 
+/// Values are `(producer << 32) | sequence`. Every consumer must see each
+/// producer's values in increasing sequence order, and every value must
+/// be taken exactly once.
+fn check_per_producer_fifo(consumed: &[Vec<u64>], producers: u64, per_producer: u64) {
+    // Per consumer, per producer: sequence numbers strictly increase.
+    for (c, seq) in consumed.iter().enumerate() {
+        let mut last = vec![None::<u64>; producers as usize];
+        for &v in seq {
+            let producer = (v >> 32) as usize;
+            let i = v & 0xffff_ffff;
+            if let Some(prev) = last[producer] {
+                assert!(
+                    i > prev,
+                    "consumer {c} saw producer {producer} reordered: \
+                     {i} after {prev}"
+                );
+            }
+            last[producer] = Some(i);
+        }
+    }
+    // Exactly-once conservation across all consumers.
+    let mut all: Vec<u64> = consumed.iter().flatten().copied().collect();
+    all.sort_unstable();
+    let mut want: Vec<u64> = (0..producers)
+        .flat_map(|t| (0..per_producer).map(move |i| (t << 32) | i))
+        .collect();
+    want.sort_unstable();
+    assert_eq!(all, want, "values lost or duplicated");
+}
+
 macro_rules! linearizability_tests {
     ($($name:ident => $alg:expr),+ $(,)?) => {
         $(
@@ -168,6 +198,110 @@ linearizability_tests! {
     seg_batched => Algorithm::SegBatched,
 }
 
+/// The heap `TwoLockQueue<T>` under the same native checks. Its nodes go
+/// round a free list, so the queues here are warmed up first: the
+/// enqueuers then link recycled nodes, not fresh ones.
+mod heap_two_lock {
+    use super::*;
+    use ms_queues::{QueueFull, TwoLockQueue};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    struct HeapTwoLock(TwoLockQueue<u64>);
+
+    impl ConcurrentWordQueue for HeapTwoLock {
+        fn enqueue(&self, value: u64) -> Result<(), QueueFull> {
+            self.0.enqueue(value);
+            Ok(())
+        }
+
+        fn dequeue(&self) -> Option<u64> {
+            self.0.dequeue()
+        }
+
+        fn name(&self) -> &'static str {
+            "heap-two-lock"
+        }
+
+        fn is_nonblocking(&self) -> bool {
+            false
+        }
+    }
+
+    /// A queue whose free list already holds several chains of nodes.
+    fn warmed_up() -> TwoLockQueue<u64> {
+        let queue = TwoLockQueue::new();
+        for i in 0..300 {
+            queue.enqueue(i);
+        }
+        while queue.dequeue().is_some() {}
+        queue
+    }
+
+    #[test]
+    fn small_windows_are_linearizable() {
+        linearizable_small_windows_with("heap-two-lock", || Arc::new(HeapTwoLock(warmed_up())));
+    }
+
+    #[test]
+    fn recycling_stress_keeps_per_producer_fifo() {
+        let producers = 4_u64;
+        let consumers = 4;
+        let per_producer = 10_000_u64;
+        let total = producers * per_producer;
+        let queue = Arc::new(warmed_up());
+        // Items enqueued and not yet taken. A producer reserves its place
+        // before enqueueing and a consumer frees it after dequeueing, so
+        // the queue never holds more than 64 items and every node makes
+        // many trips through the free list.
+        let in_flight = Arc::new(AtomicU64::new(0));
+        let taken = Arc::new(AtomicU64::new(0));
+
+        let mut producer_handles = Vec::new();
+        for t in 0..producers {
+            let queue = Arc::clone(&queue);
+            let in_flight = Arc::clone(&in_flight);
+            producer_handles.push(std::thread::spawn(move || {
+                for i in 0..per_producer {
+                    while in_flight.fetch_add(1, Ordering::AcqRel) >= 64 {
+                        in_flight.fetch_sub(1, Ordering::AcqRel);
+                        std::thread::yield_now();
+                    }
+                    queue.enqueue((t << 32) | i);
+                }
+            }));
+        }
+        let mut consumer_handles = Vec::new();
+        for _ in 0..consumers {
+            let queue = Arc::clone(&queue);
+            let in_flight = Arc::clone(&in_flight);
+            let taken = Arc::clone(&taken);
+            consumer_handles.push(std::thread::spawn(move || {
+                let mut local = Vec::new();
+                while taken.load(Ordering::Relaxed) < total {
+                    if let Some(v) = queue.dequeue() {
+                        taken.fetch_add(1, Ordering::Relaxed);
+                        in_flight.fetch_sub(1, Ordering::AcqRel);
+                        local.push(v);
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+                local
+            }));
+        }
+        for handle in producer_handles {
+            handle.join().unwrap();
+        }
+        let consumed: Vec<Vec<u64>> = consumer_handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+
+        check_per_producer_fifo(&consumed, producers, per_producer);
+        assert_eq!(queue.dequeue(), None);
+    }
+}
+
 /// The sharded front-end is *relaxed*: only per-shard FIFO is promised, so
 /// the whole-queue Wing–Gong check does not apply to a multi-shard
 /// configuration (a sweep can return `None` from a momentarily nonempty
@@ -192,33 +326,6 @@ mod sharded {
         linearizable_small_windows_with("sharded(1)", || {
             Arc::new(WordShardedQueue::with_shards(&platform, 64, 1))
         });
-    }
-
-    fn check_per_shard_fifo(consumed: &[Vec<u64>], producers: u64, per_producer: u64) {
-        // Per consumer, per producer: sequence numbers strictly increase.
-        for (c, seq) in consumed.iter().enumerate() {
-            let mut last = vec![None::<u64>; producers as usize];
-            for &v in seq {
-                let producer = (v >> 32) as usize;
-                let i = v & 0xffff_ffff;
-                if let Some(prev) = last[producer] {
-                    assert!(
-                        i > prev,
-                        "consumer {c} saw producer {producer} reordered: \
-                         {i} after {prev}"
-                    );
-                }
-                last[producer] = Some(i);
-            }
-        }
-        // Exactly-once conservation across all consumers.
-        let mut all: Vec<u64> = consumed.iter().flatten().copied().collect();
-        all.sort_unstable();
-        let mut want: Vec<u64> = (0..producers)
-            .flat_map(|t| (0..per_producer).map(move |i| (t << 32) | i))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(all, want, "values lost or duplicated");
     }
 
     #[test]
@@ -268,7 +375,7 @@ mod sharded {
             .map(|h| h.join().unwrap())
             .collect();
 
-        check_per_shard_fifo(&consumed, producers, per_producer);
+        check_per_producer_fifo(&consumed, producers, per_producer);
         // Quiescent emptiness: with no producers left, a full sweep must
         // report the queue empty.
         assert_eq!(queue.dequeue(), None);
@@ -316,7 +423,7 @@ mod sharded {
                 }
             });
             let consumed = Arc::try_unwrap(consumed).unwrap().into_inner().unwrap();
-            check_per_shard_fifo(&consumed, producers, per_producer);
+            check_per_producer_fifo(&consumed, producers, per_producer);
             assert_eq!(queue.dequeue(), None);
         });
     }
