@@ -14,8 +14,9 @@
 //! For downstream users the crate also provides idiomatic heap-allocated
 //! generic versions:
 //!
-//! * [`MsQueue`] — `MsQueue<T>` with hazard-pointer reclamation
-//!   (`msq-hazard`) and release/acquire orderings;
+//! * [`MsQueue`] — `MsQueue<T>` with release/acquire orderings, recycling
+//!   its nodes through a bounded free list once a hazard-pointer
+//!   (`msq-hazard`) snapshot shows no reader holds them;
 //! * [`EpochMsQueue`] — the same algorithm under crossbeam epoch-based
 //!   reclamation (the third answer to the reclamation question, for the
 //!   ablation benches);
@@ -72,6 +73,7 @@
 
 mod epoch_queue;
 mod ms_queue;
+mod recycler;
 mod repairable_two_lock;
 mod seg_queue;
 mod sharded;

@@ -1,36 +1,68 @@
 //! `MsQueue<T>`: the idiomatic, heap-allocated Michael–Scott queue.
 
-use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use crossbeam_utils::CachePadded;
 use msq_hazard::{PooledHazard, GLOBAL_DOMAIN};
-use msq_platform::{Backoff, BackoffConfig, NativePlatform};
+use msq_platform::{Backoff, BackoffConfig, NativePlatform, Platform};
+use parking_lot::{Mutex, MutexGuard};
 
-struct Node<T> {
-    /// Initialized for every node except the current dummy: a node's value
-    /// is moved out by the dequeue that turns it into the dummy.
-    value: MaybeUninit<T>,
-    next: AtomicPtr<Node<T>>,
+use crate::recycler::{free_list, ChainStack, Node, CHAIN_LEN};
+
+/// Stripes of spare nodes; a thread uses the one its affinity hint picks.
+const STRIPES: usize = 4;
+
+/// One thread's share of the recycled nodes, reached only by `try_lock`.
+struct Stripe<T> {
+    /// Old dummies unlinked by this stripe's dequeuers, waiting for the
+    /// hazard gate. They sit in an array, not a list: until the gate has
+    /// shown that no reader protects one, its `next` field must not be
+    /// written (DESIGN.md §16).
+    filed: [*mut Node<T>; CHAIN_LEN],
+    filed_len: usize,
+    /// Null-terminated list of nodes that passed the gate, for this
+    /// stripe's enqueuers.
+    spare: *mut Node<T>,
 }
 
-impl<T> Node<T> {
-    fn dummy() -> *mut Node<T> {
-        Box::into_raw(Box::new(Node {
-            value: MaybeUninit::uninit(),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }))
+impl<T> Drop for Stripe<T> {
+    fn drop(&mut self) {
+        // Safety: dropped only with the queue, which then has exclusive
+        // access; filed and spare nodes hold no value.
+        unsafe {
+            for &node in &self.filed[..self.filed_len] {
+                drop(Box::from_raw(node));
+            }
+            free_list(self.spare);
+        }
     }
 }
 
 /// An unbounded multi-producer multi-consumer lock-free FIFO queue — the
-/// paper's non-blocking algorithm with heap nodes and hazard-pointer
-/// reclamation in place of the experiments' arena free list.
+/// paper's non-blocking algorithm with heap nodes, recycled through a
+/// bounded free list behind a hazard-pointer gate.
 ///
 /// This is the variant a downstream Rust user would reach for: `T` is any
-/// `Send` type, operations never block, and memory is returned to the
-/// allocator (amortized) rather than held in a pool.
+/// `Send` type and operations never block.
+///
+/// Nodes are recycled as in the paper's free list, but only once hazard
+/// pointers show no reader still holds them. A dequeuer files the dummy it
+/// unlinks in its thread's stripe. When a stripe has filed 32 nodes, one
+/// snapshot of the hazard slots sorts them: a node some slot names is
+/// retired to the hazard domain, the others form a chain. The chain goes
+/// to the stripe's own spare list if that is empty, else onto a shared
+/// stack of at most 8 chains, else back to the allocator. An enqueuer takes
+/// a node from its stripe's spare list, refills that list by taking the
+/// whole shared stack, and allocates only when both are empty. Stripes are
+/// only ever `try_lock`ed; an operation that finds its stripe busy
+/// allocates or retires instead, so no operation waits for another.
+///
+/// However long the queue once grew, it keeps at most 1,404 spare nodes at
+/// rest beyond those holding values and the dummy: 256 on the shared
+/// stack, and in each of the 4 stripes 31 filed and 256 spare. To these
+/// add the nodes waiting in the hazard domain and, for each dequeuer caught
+/// between its gate and its push, the chain in its hands.
 ///
 /// # Example
 ///
@@ -47,9 +79,16 @@ impl<T> Node<T> {
 pub struct MsQueue<T> {
     head: CachePadded<AtomicPtr<Node<T>>>,
     tail: CachePadded<AtomicPtr<Node<T>>>,
+    stripes: [CachePadded<Mutex<Stripe<T>>>; STRIPES],
+    /// Full chains on their way from the dequeuers to the enqueuers.
+    depot: CachePadded<ChainStack<T>>,
     backoff: BackoffConfig,
 }
 
+// Safety: values move between threads by value and are never shared by
+// reference. Every node is owned by the queue: reached through Head/Tail
+// under hazard protection, or by one thread at a time through a stripe's
+// lock or the depot's swap and CAS. So `T: Send` is all the threads need.
 unsafe impl<T: Send> Send for MsQueue<T> {}
 unsafe impl<T: Send> Sync for MsQueue<T> {}
 
@@ -64,10 +103,18 @@ impl<T> MsQueue<T> {
     /// knob the word-level queues expose (the ablation benches pass
     /// [`BackoffConfig::DISABLED`]).
     pub fn with_backoff(backoff: BackoffConfig) -> Self {
-        let dummy = Node::dummy();
+        let dummy = Node::alloc();
         MsQueue {
             head: CachePadded::new(AtomicPtr::new(dummy)),
             tail: CachePadded::new(AtomicPtr::new(dummy)),
+            stripes: std::array::from_fn(|_| {
+                CachePadded::new(Mutex::new(Stripe {
+                    filed: [ptr::null_mut(); CHAIN_LEN],
+                    filed_len: 0,
+                    spare: ptr::null_mut(),
+                }))
+            }),
+            depot: CachePadded::new(ChainStack::new()),
             backoff,
         }
     }
@@ -76,15 +123,18 @@ impl<T> MsQueue<T> {
     ///
     /// Lock-free: a stalled thread cannot prevent others from enqueueing.
     pub fn enqueue(&self, value: T) {
-        let node = Box::into_raw(Box::new(Node {
-            value: MaybeUninit::new(value),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
+        let node = self.take_node();
+        // Safety: `node` is ours alone until E9 links it, and its value
+        // slot is uninitialized.
+        unsafe {
+            (*node).value.write(value);
+            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+        }
         let mut hazard = PooledHazard::acquire(&GLOBAL_DOMAIN);
         let mut backoff = Backoff::new(self.backoff);
         loop {
             // Protect Tail so dereferencing it for `next` is safe even if a
-            // concurrent dequeue retires the node.
+            // concurrent dequeue unlinks the node.
             let tail = hazard.protect(&self.tail);
             // Safety: protected and re-validated against self.tail.
             let next = unsafe { (*tail).next.load(Ordering::Acquire) };
@@ -124,7 +174,6 @@ impl<T> MsQueue<T> {
         let mut backoff = Backoff::new(self.backoff);
         loop {
             let head = head_hazard.protect(&self.head);
-            let tail = self.tail.load(Ordering::Acquire);
             // Safety: head is protected and re-validated below.
             let next = unsafe { (*head).next.load(Ordering::Acquire) };
             // Protect next, then re-validate head: if Head is unchanged,
@@ -138,12 +187,20 @@ impl<T> MsQueue<T> {
                 // Queue empty (Head == Tail == dummy with no successor).
                 return None;
             }
-            if head == tail {
-                // Tail is falling behind (D9): help it.
-                let _ = self
-                    .tail
-                    .compare_exchange(tail, next, Ordering::AcqRel, Ordering::Acquire);
-                continue;
+            // Tail is always the last or the second-to-last node, so once
+            // `next` has a successor Tail is past `head` for good. Only
+            // otherwise can Tail lag at `head` (D9), and only then is
+            // Tail's cache line, which every enqueue writes, worth a read.
+            // Safety: `next` is protected and was reachable above.
+            if unsafe { (*next).next.load(Ordering::Acquire) }.is_null() {
+                let tail = self.tail.load(Ordering::Acquire);
+                if head == tail {
+                    // Tail is falling behind: help it.
+                    let _ =
+                        self.tail
+                            .compare_exchange(tail, next, Ordering::AcqRel, Ordering::Acquire);
+                    continue;
+                }
             }
             if self
                 .head
@@ -159,13 +216,7 @@ impl<T> MsQueue<T> {
                 let value = unsafe { ptr::read((*next).value.as_ptr()) };
                 drop(head_hazard);
                 drop(next_hazard);
-                // Safety: `head` is unlinked (Head moved past it), was
-                // allocated by Box::into_raw, and is retired exactly once.
-                // Its value slot is a stale dummy slot — already moved out
-                // by the dequeue that made it dummy (or never initialized),
-                // so dropping the box must not drop a T; Node's value is
-                // MaybeUninit so Box::from_raw drops only the allocation.
-                unsafe { GLOBAL_DOMAIN.retire(head) };
+                self.file(head);
                 return Some(value);
             }
             // D12 lost: another dequeuer swung Head first.
@@ -186,6 +237,85 @@ impl<T> MsQueue<T> {
             }
         }
     }
+
+    /// The calling thread's stripe, if no other thread holds it.
+    fn stripe(&self) -> Option<MutexGuard<'_, Stripe<T>>> {
+        self.stripes[NativePlatform::new().affinity_hint() % STRIPES].try_lock()
+    }
+
+    /// A node with no value: a recycled one if the stripe or the depot has
+    /// one, else a fresh one.
+    fn take_node(&self) -> *mut Node<T> {
+        if let Some(mut stripe) = self.stripe() {
+            if stripe.spare.is_null() {
+                stripe.spare = self.depot.take_all();
+            }
+            let node = stripe.spare;
+            if !node.is_null() {
+                // Safety: spare nodes belong to the stripe's holder.
+                stripe.spare = unsafe { (*node).next.load(Ordering::Relaxed) };
+                return node;
+            }
+        }
+        Node::alloc()
+    }
+
+    /// Disposes of `node`, the old dummy this thread just unlinked, after
+    /// dropping its own hazards: files it in the stripe, or retires it if
+    /// the stripe is busy. Every [`CHAIN_LEN`]th filing runs the gate.
+    fn file(&self, node: *mut Node<T>) {
+        let Some(mut guard) = self.stripe() else {
+            // Safety: `node` is unlinked (Head moved past it), came from
+            // Box::into_raw and is retired exactly once. Its value was
+            // moved out when it became the dummy, and Node's value is
+            // MaybeUninit, so freeing it drops no T.
+            unsafe { GLOBAL_DOMAIN.retire(node) };
+            return;
+        };
+        let stripe = &mut *guard;
+        stripe.filed[stripe.filed_len] = node;
+        stripe.filed_len += 1;
+        if stripe.filed_len < CHAIN_LEN {
+            return;
+        }
+        stripe.filed_len = 0;
+        // The gate: one snapshot of the hazard slots, taken after every
+        // filed node was unlinked. A reader that protected a node before
+        // its unlink shows up here; one that protects it later fails its
+        // re-validation and never dereferences it.
+        let mut named = [false; CHAIN_LEN];
+        for hazard in GLOBAL_DOMAIN.hazards() {
+            for (named, &node) in named.iter_mut().zip(&stripe.filed) {
+                *named |= node.cast() == hazard;
+            }
+        }
+        let (mut first, mut last) = (ptr::null_mut(), ptr::null_mut());
+        for (&named, &node) in named.iter().zip(&stripe.filed) {
+            if named {
+                // Safety: as for a busy stripe above.
+                unsafe { GLOBAL_DOMAIN.retire(node) };
+                continue;
+            }
+            // Safety: no reader holds `node` or can come to hold it, so
+            // from now on it is ours to write.
+            unsafe { (*node).next.store(first, Ordering::Relaxed) };
+            if first.is_null() {
+                last = node;
+            }
+            first = node;
+        }
+        if first.is_null() {
+            return;
+        }
+        if stripe.spare.is_null() {
+            stripe.spare = first;
+            return;
+        }
+        drop(guard);
+        // Safety: the chain passed the gate and left the stripe, so it is
+        // ours alone, and its nodes hold no value.
+        unsafe { self.depot.push(first, last) };
+    }
 }
 
 impl<T> Default for MsQueue<T> {
@@ -196,20 +326,17 @@ impl<T> Default for MsQueue<T> {
 
 impl<T> Drop for MsQueue<T> {
     fn drop(&mut self) {
-        // Exclusive access: walk the list, dropping every remaining value
-        // and node, then the dummy.
-        let mut node = self.head.load(Ordering::Relaxed);
-        let mut is_dummy = true;
-        while !node.is_null() {
-            // Safety: exclusive access during drop.
-            let boxed = unsafe { Box::from_raw(node) };
-            let next = boxed.next.load(Ordering::Relaxed);
-            if !is_dummy {
-                // Safety: every non-dummy node holds an initialized value.
-                unsafe { ptr::drop_in_place(boxed.value.as_ptr().cast_mut()) };
+        // Exclusive access: drop every value still queued, then free the
+        // list; the stripes and the depot free their nodes themselves.
+        let head = *self.head.get_mut();
+        // Safety: only the nodes after the dummy hold values.
+        unsafe {
+            let mut node = (*head).next.load(Ordering::Relaxed);
+            while !node.is_null() {
+                ptr::drop_in_place((*node).value.as_mut_ptr());
+                node = (*node).next.load(Ordering::Relaxed);
             }
-            is_dummy = false;
-            node = next;
+            free_list(head);
         }
     }
 }
@@ -245,6 +372,50 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.dequeue(), Some(i));
         }
+        assert_eq!(q.dequeue(), None);
+    }
+
+    #[test]
+    fn a_node_a_stalled_enqueuer_holds_keeps_its_link() {
+        // An enqueuer that protected Tail, read a null `next` and stalled
+        // before its E9 CAS. Meanwhile the node gets a successor, is
+        // unlinked and filed, and two gates run. No field of the node may
+        // be written while the hazard names it: a `next` reset to null
+        // would let the stale CAS link a value onto a node outside the
+        // queue.
+        let q = MsQueue::new();
+        q.enqueue(0_u64);
+        let mut stalled = msq_hazard::HazardPointer::new(&GLOBAL_DOMAIN);
+        let held = stalled.protect(&q.tail);
+        // Safety: protected by `stalled` until the end of the test.
+        let link = unsafe { &(*held).next };
+        assert!(link.load(Ordering::SeqCst).is_null());
+        q.enqueue(1);
+        let successor = link.load(Ordering::SeqCst);
+        for i in 0..2 * CHAIN_LEN as u64 {
+            assert_eq!(q.dequeue(), Some(i));
+            q.enqueue(i + 2);
+        }
+        assert_eq!(link.load(Ordering::SeqCst), successor);
+        stalled.clear();
+    }
+
+    #[test]
+    fn a_busy_stripe_makes_no_operation_wait() {
+        let q = MsQueue::new();
+        for i in 0..100 {
+            q.enqueue(i);
+        }
+        // With the calling thread's stripe held, enqueues allocate and
+        // dequeues retire instead of waiting for it.
+        let stripe = q.stripe().expect("no other thread uses this queue");
+        for i in 100..200 {
+            q.enqueue(i);
+        }
+        for i in 0..200 {
+            assert_eq!(q.dequeue(), Some(i));
+        }
+        drop(stripe);
         assert_eq!(q.dequeue(), None);
     }
 

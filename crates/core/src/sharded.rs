@@ -37,21 +37,6 @@ use crate::word_seg::WordSegQueue;
 /// `sharded` contender uses).
 pub const DEFAULT_SHARDS: usize = 4;
 
-fn native_affinity_token() -> usize {
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static NEXT_TOKEN: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static TOKEN: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    TOKEN.with(|token| {
-        if token.get() == usize::MAX {
-            token.set(NEXT_TOKEN.fetch_add(1, Ordering::Relaxed));
-        }
-        token.get()
-    })
-}
-
 /// A sharded, relaxed-FIFO, unbounded MPMC queue of heap values: `N`
 /// independent [`SegQueue`]s behind thread-affine dispatch.
 ///
@@ -132,7 +117,7 @@ impl<T> ShardedQueue<T> {
 
     /// The calling thread's home shard index (stable per thread).
     pub fn home_shard(&self) -> usize {
-        native_affinity_token() % self.shards.len()
+        NativePlatform::new().affinity_hint() % self.shards.len()
     }
 
     /// Adds `value` at the tail of the caller's home shard.

@@ -1,60 +1,13 @@
 //! `TwoLockQueue<T>`: the idiomatic, heap-allocated two-lock queue.
 
-use std::mem::{self, MaybeUninit};
+use std::mem;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::Ordering;
 
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
-/// Old dummies a dequeuer collects before handing them to the enqueuers.
-const CHAIN_LEN: usize = 32;
-
-/// Chains the shared free stack holds; a dequeuer that finds it full frees
-/// its chain instead.
-const MAX_SHARED_CHAINS: usize = 8;
-
-/// A non-null top of the free stack carries in its low bits the number of
-/// chains below it, at most 7; nodes are 8-aligned, so those bits are free.
-const TAG_MASK: usize = MAX_SHARED_CHAINS - 1;
-
-const _: () = assert!(MAX_SHARED_CHAINS.is_power_of_two() && MAX_SHARED_CHAINS <= 8);
-
-#[repr(align(8))]
-struct Node<T> {
-    /// Initialized for every node in the queue except the current dummy;
-    /// uninitialized in the dummy and in every recycled node.
-    value: MaybeUninit<T>,
-    /// The queue link, or the free-list link of a recycled node. Atomic
-    /// because the single-element race (a dequeuer reading the dummy's link
-    /// while an enqueuer installs it) crosses the two locks.
-    next: AtomicPtr<Node<T>>,
-}
-
-impl<T> Node<T> {
-    fn alloc() -> *mut Node<T> {
-        Box::into_raw(Box::new(Node {
-            value: MaybeUninit::uninit(),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }))
-    }
-}
-
-/// Frees a null-terminated list of nodes without dropping their values.
-///
-/// # Safety
-///
-/// The caller owns every node of the list, and none is reachable elsewhere.
-unsafe fn free_list<T>(mut node: *mut Node<T>) {
-    while !node.is_null() {
-        let boxed = Box::from_raw(node);
-        node = boxed.next.load(Ordering::Relaxed);
-    }
-}
-
-fn untag<T>(top: *mut Node<T>) -> *mut Node<T> {
-    top.map_addr(|addr| addr & !TAG_MASK)
-}
+use crate::recycler::{free_list, ChainStack, Node, CHAIN_LEN};
 
 /// What `H_lock` guards: `Head` and the chain of old dummies that has not
 /// yet been handed to the enqueuers.
@@ -110,9 +63,8 @@ struct TailEnd<T> {
 pub struct TwoLockQueue<T> {
     head: CachePadded<Mutex<HeadEnd<T>>>,
     tail: CachePadded<Mutex<TailEnd<T>>>,
-    /// Treiber stack of whole chains. It is only ever pushed a chain or
-    /// emptied at once, never popped a node, so its CAS has no ABA problem.
-    free: AtomicPtr<Node<T>>,
+    /// Full chains on their way from the dequeuers to the enqueuers.
+    free: ChainStack<T>,
 }
 
 // Safety: the raw pointers are owned by the queue. Values move between
@@ -137,15 +89,15 @@ impl<T> TwoLockQueue<T> {
                 last: dummy,
                 spare: ptr::null_mut(),
             })),
-            free: AtomicPtr::new(ptr::null_mut()),
+            free: ChainStack::new(),
         }
     }
 
     /// Adds `value` at the tail. Blocks only other enqueuers.
     pub fn enqueue(&self, value: T) {
         let mut tail = self.tail.lock();
-        if tail.spare.is_null() && !self.free.load(Ordering::Relaxed).is_null() {
-            tail.spare = untag(self.free.swap(ptr::null_mut(), Ordering::Acquire));
+        if tail.spare.is_null() {
+            tail.spare = self.free.take_all();
         }
         let node = if tail.spare.is_null() {
             Node::alloc()
@@ -202,41 +154,11 @@ impl<T> TwoLockQueue<T> {
         // Hand the chain over outside the critical section (as Figure 2
         // frees the old dummy outside it).
         if let Some((first, last)) = full {
-            self.recycle(first, last);
+            // Safety: the chain left the head end with the lock, so it is
+            // ours alone, and its nodes are old dummies holding no value.
+            unsafe { self.free.push(first, last) };
         }
         Some(value)
-    }
-
-    /// Pushes the chain `first..=last` onto the shared stack, or frees it
-    /// if the stack already holds `MAX_SHARED_CHAINS` chains.
-    fn recycle(&self, first: *mut Node<T>, last: *mut Node<T>) {
-        let mut top = self.free.load(Ordering::Relaxed);
-        loop {
-            let held = if top.is_null() {
-                0
-            } else {
-                (top.addr() & TAG_MASK) + 1
-            };
-            if held == MAX_SHARED_CHAINS {
-                // Safety: the chain is ours; `last` may still link into the
-                // stack from a failed attempt, so cut it there first.
-                unsafe {
-                    (*last).next.store(ptr::null_mut(), Ordering::Relaxed);
-                    free_list(first);
-                }
-                return;
-            }
-            // Safety: the chain is ours until the CAS publishes it.
-            unsafe { (*last).next.store(untag(top), Ordering::Relaxed) };
-            let pushed = first.map_addr(|addr| addr | held);
-            match self
-                .free
-                .compare_exchange_weak(top, pushed, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => top = seen,
-            }
-        }
     }
 
     /// Whether the queue was observed empty (snapshot semantics).
@@ -267,7 +189,6 @@ impl<T> Drop for TwoLockQueue<T> {
             free_list(head.dummy);
             free_list(head.chain);
             free_list(self.tail.get_mut().spare);
-            free_list(untag(*self.free.get_mut()));
         }
     }
 }

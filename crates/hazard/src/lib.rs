@@ -3,8 +3,9 @@
 //! The paper's queues sidestep reclamation by recycling nodes through a
 //! type-stable free list (an arena in this reproduction). For the idiomatic
 //! heap-allocated `MsQueue<T>` in `msq-core` — where nodes are `Box`es that
-//! must eventually be dropped — something stronger is needed: a dequeuer
-//! may free a node another thread still holds a raw pointer to. This crate
+//! must eventually be dropped or, once safe, reused — something stronger is
+//! needed: a dequeuer may free or reuse a node another thread still holds a
+//! raw pointer to. This crate
 //! implements Michael's hazard-pointer scheme (the historical successor to
 //! this very paper): readers publish the pointers they are about to
 //! dereference in single-writer/multi-reader slots; threads that retire
@@ -12,9 +13,11 @@
 //! them.
 //!
 //! The implementation is deliberately compact but complete: per-thread slot
-//! acquisition/release, bounded hazards per thread, amortized O(R) scans,
-//! and an orphan list so nodes retired by exiting threads are adopted
-//! rather than leaked.
+//! acquisition/release, bounded hazards per thread, allocation-free scans
+//! that read each slot once (amortized O(H) work per retired node for H
+//! published hazards), an orphan list so nodes retired by exiting threads
+//! are adopted rather than leaked, and [`Domain::hazards`], the same
+//! one-pass snapshot, for structures that gate node *reuse* on it.
 //!
 //! # Example
 //!
@@ -41,8 +44,7 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crossbeam_utils::CachePadded;
@@ -154,32 +156,41 @@ impl Domain {
         }
     }
 
+    /// One snapshot of the hazards published in this domain: a SeqCst
+    /// fence, then each slot up to the high-water mark read once (SeqCst),
+    /// empty slots skipped. Allocates nothing.
+    ///
+    /// The fence orders the snapshot after everything the caller did
+    /// before, unlinks done with weaker orderings included. So a reader
+    /// that published a hazard before a node's unlink appears here, and
+    /// one that publishes later fails its re-validation.
+    pub fn hazards(&self) -> impl Iterator<Item = *mut u8> + '_ {
+        fence(Ordering::SeqCst);
+        let limit = self.high_water.load(Ordering::SeqCst);
+        self.slots[..limit]
+            .iter()
+            .map(|s| s.hazard.load(Ordering::SeqCst))
+            .filter(|p| !p.is_null())
+    }
+
     /// Whether any hazard slot currently protects `ptr`.
     ///
     /// A `false` answer is advisory: a reader may publish `ptr` right
     /// after the scan, so this alone never justifies freeing memory.
-    /// It is intended as a *reuse* gate — e.g. the segment pool in
-    /// `msq-core`'s `SegQueue` recycles an unlinked segment only when no
-    /// slot mentions it, falling back to `retire` otherwise. The race is
-    /// benign there because readers re-validate reachability after
-    /// publishing, and an unlinked segment fails that re-validation.
+    /// It is intended as a *reuse* gate for one unlinked node — the
+    /// segment pool in `msq-core`'s `SegQueue` recycles an unlinked
+    /// segment only when no slot mentions it, falling back to `retire`
+    /// otherwise (`MsQueue` gates 32 nodes at once with one
+    /// [`Domain::hazards`] snapshot instead). The race is benign there
+    /// because readers re-validate reachability after publishing, and an
+    /// unlinked segment fails that re-validation.
     pub fn is_protected(&self, ptr: *mut u8) -> bool {
-        if ptr.is_null() {
-            return false;
-        }
-        let limit = self.high_water.load(Ordering::SeqCst);
-        self.slots[..limit]
-            .iter()
-            .any(|s| s.hazard.load(Ordering::SeqCst) == ptr)
+        !ptr.is_null() && self.hazards().any(|h| h == ptr)
     }
 
     /// Number of currently protected (non-null) hazard slots; diagnostic.
     pub fn active_hazards(&self) -> usize {
-        let limit = self.high_water.load(Ordering::Acquire);
-        self.slots[..limit]
-            .iter()
-            .filter(|s| !s.hazard.load(Ordering::Acquire).is_null())
-            .count()
+        self.hazards().count()
     }
 
     fn scan(&'static self, retired: &mut Vec<Retired>) {
@@ -188,22 +199,19 @@ impl Domain {
             let mut orphans = self.orphans.lock().expect("orphan list");
             retired.append(&mut orphans);
         }
-        let limit = self.high_water.load(Ordering::Acquire);
-        let protected: HashSet<*mut u8> = self.slots[..limit]
-            .iter()
-            .map(|s| s.hazard.load(Ordering::Acquire))
-            .filter(|p| !p.is_null())
-            .collect();
-        retired.retain(|r| {
-            if protected.contains(&r.ptr) {
-                true
-            } else {
-                // Safety: unlinked (retire contract) and unprotected now;
-                // protection cannot be re-established for an unlinked node.
-                unsafe { (r.drop_fn)(r.ptr) };
-                false
+        // Move each node a hazard names to the front, then free the rest.
+        let mut kept = 0;
+        for hazard in self.hazards() {
+            if let Some(i) = retired[kept..].iter().position(|r| r.ptr == hazard) {
+                retired.swap(kept, kept + i);
+                kept += 1;
             }
-        });
+        }
+        for r in retired.drain(kept..) {
+            // Safety: unlinked (retire contract) and unprotected now;
+            // protection cannot be re-established for an unlinked node.
+            unsafe { (r.drop_fn)(r.ptr) };
+        }
     }
 
     fn acquire_slot(&'static self) -> usize {
@@ -524,6 +532,34 @@ mod tests {
             "slot stride is {} bytes",
             second - first
         );
+    }
+
+    #[test]
+    fn hazard_snapshot_names_each_published_pointer_once_per_slot() {
+        static SNAP_DOMAIN: Domain = Domain::new();
+        let (a, b) = (
+            Box::into_raw(Box::new(1_u64)),
+            Box::into_raw(Box::new(2_u64)),
+        );
+        let mut first = HazardPointer::new(&SNAP_DOMAIN);
+        let mut second = HazardPointer::new(&SNAP_DOMAIN);
+        let _idle = HazardPointer::new(&SNAP_DOMAIN);
+        first.protect_raw(a);
+        second.protect_raw(b);
+        let mut seen: Vec<*mut u8> = SNAP_DOMAIN.hazards().collect();
+        seen.sort_unstable();
+        let mut want = vec![a.cast::<u8>(), b.cast::<u8>()];
+        want.sort_unstable();
+        assert_eq!(seen, want, "the idle slot is skipped");
+        second.protect_raw(a);
+        assert_eq!(SNAP_DOMAIN.hazards().filter(|&h| h == a.cast()).count(), 2);
+        first.clear();
+        second.clear();
+        assert_eq!(SNAP_DOMAIN.hazards().count(), 0);
+        unsafe {
+            drop(Box::from_raw(a));
+            drop(Box::from_raw(b));
+        }
     }
 
     #[test]

@@ -110,6 +110,7 @@ pub trait Platform: Clone + Send + Sync + Sized + 'static {
     /// counter on first use. The simulator overrides this with the
     /// simulated process id, which keeps shard assignment deterministic
     /// across runs regardless of host-thread scheduling.
+    #[inline]
     fn affinity_hint(&self) -> usize {
         affinity_hint_default()
     }
@@ -201,6 +202,7 @@ fn native_epoch_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+#[inline]
 fn affinity_hint_default() -> usize {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};

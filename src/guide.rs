@@ -28,6 +28,12 @@
 //! dequeuer may free and reuse the node — is preserved and tested by
 //! node-recycling tests that push 10,000 values through a two-node pool.
 //!
+//! The heap-allocated [`MsQueue`](crate::MsQueue) is the same algorithm
+//! with heap nodes. It keeps a free list too, but a dequeuer cannot read
+//! the value before the CAS on a node nobody else can touch, so it reuses
+//! an unlinked node only after a hazard-pointer snapshot shows that no
+//! other thread still holds it (DESIGN.md §16).
+//!
 //! ## Figure 2 → [`WordTwoLockQueue`](crate::WordTwoLockQueue)
 //!
 //! The two-lock queue keeps the dummy node so "enqueuers never have to

@@ -204,7 +204,6 @@ linearizability_tests! {
 mod heap_two_lock {
     use super::*;
     use ms_queues::{QueueFull, TwoLockQueue};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct HeapTwoLock(TwoLockQueue<u64>);
 
@@ -244,62 +243,122 @@ mod heap_two_lock {
 
     #[test]
     fn recycling_stress_keeps_per_producer_fifo() {
-        let producers = 4_u64;
-        let consumers = 4;
-        let per_producer = 10_000_u64;
-        let total = producers * per_producer;
-        let queue = Arc::new(warmed_up());
-        // Items enqueued and not yet taken. A producer reserves its place
-        // before enqueueing and a consumer frees it after dequeueing, so
-        // the queue never holds more than 64 items and every node makes
-        // many trips through the free list.
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let taken = Arc::new(AtomicU64::new(0));
+        recycling_stress(Arc::new(HeapTwoLock(warmed_up())));
+    }
+}
 
-        let mut producer_handles = Vec::new();
-        for t in 0..producers {
-            let queue = Arc::clone(&queue);
-            let in_flight = Arc::clone(&in_flight);
-            producer_handles.push(std::thread::spawn(move || {
-                for i in 0..per_producer {
-                    while in_flight.fetch_add(1, Ordering::AcqRel) >= 64 {
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                        std::thread::yield_now();
-                    }
-                    queue.enqueue((t << 32) | i);
-                }
-            }));
+/// The heap `MsQueue<T>` under the same checks. Its dequeuers file old
+/// dummies in per-thread stripes and recycle them only after a hazard
+/// snapshot, so a node some thread still holds must never be reused.
+mod heap_ms {
+    use super::*;
+    use ms_queues::{MsQueue, QueueFull};
+
+    struct HeapMs(MsQueue<u64>);
+
+    impl ConcurrentWordQueue for HeapMs {
+        fn enqueue(&self, value: u64) -> Result<(), QueueFull> {
+            self.0.enqueue(value);
+            Ok(())
         }
-        let mut consumer_handles = Vec::new();
-        for _ in 0..consumers {
-            let queue = Arc::clone(&queue);
-            let in_flight = Arc::clone(&in_flight);
-            let taken = Arc::clone(&taken);
-            consumer_handles.push(std::thread::spawn(move || {
-                let mut local = Vec::new();
-                while taken.load(Ordering::Relaxed) < total {
-                    if let Some(v) = queue.dequeue() {
-                        taken.fetch_add(1, Ordering::Relaxed);
+
+        fn dequeue(&self) -> Option<u64> {
+            self.0.dequeue()
+        }
+
+        fn name(&self) -> &'static str {
+            "heap-ms"
+        }
+
+        fn is_nonblocking(&self) -> bool {
+            true
+        }
+    }
+
+    /// A queue whose stripe and shared stack already hold recycled nodes.
+    fn warmed_up() -> MsQueue<u64> {
+        let queue = MsQueue::new();
+        for i in 0..300 {
+            queue.enqueue(i);
+        }
+        while queue.dequeue().is_some() {}
+        queue
+    }
+
+    #[test]
+    fn small_windows_are_linearizable() {
+        linearizable_small_windows_with("heap-ms", || Arc::new(HeapMs(warmed_up())));
+    }
+
+    #[test]
+    fn recycling_stress_keeps_per_producer_fifo() {
+        recycling_stress(Arc::new(HeapMs(warmed_up())));
+    }
+}
+
+/// Four producers and four consumers on a queue that never holds more
+/// than 64 items, so every node makes many trips through the free list.
+/// Checks per-producer FIFO, exactly-once delivery, and that the queue is
+/// empty at the end.
+fn recycling_stress(queue: Arc<dyn ConcurrentWordQueue>) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let producers = 4_u64;
+    let consumers = 4;
+    let per_producer = 10_000_u64;
+    // Items enqueued and not yet taken. A producer reserves its place
+    // before enqueueing and a consumer frees it after dequeueing.
+    let in_flight = Arc::new(AtomicU64::new(0));
+    let producers_done = Arc::new(AtomicBool::new(false));
+
+    let mut producer_handles = Vec::new();
+    for t in 0..producers {
+        let queue = Arc::clone(&queue);
+        let in_flight = Arc::clone(&in_flight);
+        producer_handles.push(std::thread::spawn(move || {
+            for i in 0..per_producer {
+                while in_flight.fetch_add(1, Ordering::AcqRel) >= 64 {
+                    in_flight.fetch_sub(1, Ordering::AcqRel);
+                    std::thread::yield_now();
+                }
+                queue.enqueue((t << 32) | i).unwrap();
+            }
+        }));
+    }
+    let mut consumer_handles = Vec::new();
+    for _ in 0..consumers {
+        let queue = Arc::clone(&queue);
+        let in_flight = Arc::clone(&in_flight);
+        let producers_done = Arc::clone(&producers_done);
+        consumer_handles.push(std::thread::spawn(move || {
+            let mut local = Vec::new();
+            loop {
+                // Once every enqueue has returned, an empty dequeue means
+                // every item is taken, or lost: stop and let the checks
+                // below tell which.
+                let done = producers_done.load(Ordering::Acquire);
+                match queue.dequeue() {
+                    Some(v) => {
                         in_flight.fetch_sub(1, Ordering::AcqRel);
                         local.push(v);
-                    } else {
-                        std::thread::yield_now();
                     }
+                    None if done => return local,
+                    None => std::thread::yield_now(),
                 }
-                local
-            }));
-        }
-        for handle in producer_handles {
-            handle.join().unwrap();
-        }
-        let consumed: Vec<Vec<u64>> = consumer_handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect();
-
-        check_per_producer_fifo(&consumed, producers, per_producer);
-        assert_eq!(queue.dequeue(), None);
+            }
+        }));
     }
+    for handle in producer_handles {
+        handle.join().unwrap();
+    }
+    producers_done.store(true, Ordering::Release);
+    let consumed: Vec<Vec<u64>> = consumer_handles
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .collect();
+
+    check_per_producer_fifo(&consumed, producers, per_producer);
+    assert_eq!(queue.dequeue(), None);
 }
 
 /// The sharded front-end is *relaxed*: only per-shard FIFO is promised, so

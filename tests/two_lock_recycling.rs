@@ -1,7 +1,9 @@
-//! `TwoLockQueue<T>` recycles its nodes through a bounded free list: a
-//! steady stream allocates nothing, a drained burst leaves a bounded
-//! number of spare nodes, dropping the queue frees every byte, and no
-//! value is dropped twice or leaked on its trips through the pool.
+//! `TwoLockQueue<T>` and `MsQueue<T>` recycle their nodes through bounded
+//! free lists: a steady stream allocates nothing, a drained burst leaves a
+//! bounded number of spare nodes, dropping the queue frees every byte, and
+//! no value is dropped twice or leaked on its trips through the pool. The
+//! top-level tests check `TwoLockQueue<T>`, the `ms_queue` module the same
+//! for `MsQueue<T>`.
 //!
 //! A counting global allocator, local to this test binary, measures the
 //! allocations. Its counters are per thread, so tests running in parallel
@@ -13,7 +15,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use ms_queues::TwoLockQueue;
+use ms_queues::{MsQueue, TwoLockQueue};
 
 struct Counting;
 
@@ -58,27 +60,115 @@ fn live_bytes() -> isize {
     LIVE_BYTES.with(Cell::get)
 }
 
-/// The spare nodes the queue may keep at rest, as its documentation
-/// states: 256 on the shared stack, 256 with the enqueuers and 31 with
-/// the dequeuers.
+/// The heap queues that recycle their nodes, as the tests below use them.
+trait Recycling<T>: Send + Sync + Sized {
+    fn create() -> Self;
+    fn put(&self, value: T);
+    fn take(&self) -> Option<T>;
+}
+
+impl<T: Send> Recycling<T> for TwoLockQueue<T> {
+    fn create() -> Self {
+        TwoLockQueue::new()
+    }
+    fn put(&self, value: T) {
+        self.enqueue(value);
+    }
+    fn take(&self) -> Option<T> {
+        self.dequeue()
+    }
+}
+
+impl<T: Send> Recycling<T> for MsQueue<T> {
+    fn create() -> Self {
+        MsQueue::new()
+    }
+    fn put(&self, value: T) {
+        self.enqueue(value);
+    }
+    fn take(&self) -> Option<T> {
+        self.dequeue()
+    }
+}
+
+/// Runs a queue once on this thread, so that the thread's lasting state
+/// (its pooled hazard pointers) is in place before bytes are counted.
+fn warm_thread<Q: Recycling<u64>>() {
+    let q = Q::create();
+    q.put(0);
+    assert_eq!(q.take(), Some(0));
+}
+
+/// The spare nodes `TwoLockQueue<T>` may keep at rest, as its
+/// documentation states: 256 on the shared stack, 256 with the enqueuers
+/// and 31 with the dequeuers.
 const SPARE_NODE_BOUND: isize = 543;
 
 #[test]
 fn steady_stream_allocates_nothing_after_warm_up() {
-    let q = TwoLockQueue::new();
+    steady_stream::<TwoLockQueue<u64>>();
+}
+
+#[test]
+fn drained_burst_keeps_a_bounded_number_of_nodes() {
+    drained_burst::<TwoLockQueue<u64>>(SPARE_NODE_BOUND);
+}
+
+#[test]
+fn drop_frees_every_byte() {
+    drop_frees::<TwoLockQueue<u64>>();
+}
+
+#[test]
+fn values_are_dropped_exactly_once_across_trips_through_the_pool() {
+    dropped_exactly_once::<TwoLockQueue<Counted>>();
+}
+
+mod ms_queue {
+    use super::*;
+
+    /// The spare nodes `MsQueue<T>` may keep at rest, as its documentation
+    /// states: 256 on the shared stack, and in each of 4 stripes 31 filed
+    /// and 256 spare.
+    const SPARE_NODE_BOUND: isize = 256 + 4 * (31 + 256);
+
+    #[test]
+    fn steady_stream_allocates_nothing_after_warm_up() {
+        steady_stream::<MsQueue<u64>>();
+    }
+
+    #[test]
+    fn drained_burst_keeps_a_bounded_number_of_nodes() {
+        drained_burst::<MsQueue<u64>>(SPARE_NODE_BOUND);
+    }
+
+    #[test]
+    fn drop_frees_every_byte() {
+        drop_frees::<MsQueue<u64>>();
+    }
+
+    #[test]
+    fn values_are_dropped_exactly_once_across_trips_through_the_pool() {
+        dropped_exactly_once::<MsQueue<Counted>>();
+    }
+}
+
+fn steady_stream<Q: Recycling<u64>>() {
+    warm_thread::<Q>();
+    let q = Q::create();
     for i in 0..64_u64 {
-        q.enqueue(i);
+        q.put(i);
     }
     // Warm-up: enough pairs for chains to reach the shared stack and come
     // back to the enqueuer.
     for i in 64..1_064_u64 {
-        q.enqueue(i);
-        assert_eq!(q.dequeue(), Some(i - 64));
+        q.put(i);
+        assert_eq!(q.take(), Some(i - 64));
     }
     let before = allocations();
     for i in 1_064..101_064_u64 {
-        q.enqueue(i);
-        assert_eq!(q.dequeue(), Some(i - 64));
+        q.put(i);
+        assert_eq!(q.take(), Some(i - 64));
     }
     let made = allocations() - before;
     assert!(
@@ -87,46 +177,46 @@ fn steady_stream_allocates_nothing_after_warm_up() {
     );
 }
 
-#[test]
-fn drained_burst_keeps_a_bounded_number_of_nodes() {
+fn drained_burst<Q: Recycling<u64>>(spare_node_bound: isize) {
+    warm_thread::<Q>();
     let before = live_bytes();
-    let q = TwoLockQueue::new();
+    let q = Q::create();
     // The empty queue holds exactly one node, its dummy.
     let node_bytes = live_bytes() - before;
     assert!(node_bytes > 0);
     for i in 0..100_000_u64 {
-        q.enqueue(i);
+        q.put(i);
     }
     for i in 0..100_000_u64 {
-        assert_eq!(q.dequeue(), Some(i));
+        assert_eq!(q.take(), Some(i));
     }
     let kept = live_bytes() - before;
     assert!(
-        kept <= (SPARE_NODE_BOUND + 1) * node_bytes,
-        "a drained 100k burst keeps {} nodes, more than the dummy and {SPARE_NODE_BOUND} spares",
+        kept <= (spare_node_bound + 1) * node_bytes,
+        "a drained 100k burst keeps {} nodes, more than the dummy and {spare_node_bound} spares",
         kept / node_bytes
     );
     drop(q);
 }
 
-#[test]
-fn drop_frees_every_byte() {
+fn drop_frees<Q: Recycling<u64>>() {
+    warm_thread::<Q>();
     let before = live_bytes();
     {
-        let q = TwoLockQueue::new();
+        let q = Q::create();
         // Fill every place a node can rest: the queue itself, the shared
         // stack, the enqueuers' spares and a dequeuers' partial chain.
         for i in 0..10_000_u64 {
-            q.enqueue(i);
+            q.put(i);
         }
         for _ in 0..9_000 {
-            q.dequeue();
+            q.take();
         }
         for i in 0..100_u64 {
-            q.enqueue(i);
+            q.put(i);
         }
         for _ in 0..5 {
-            q.dequeue();
+            q.take();
         }
     }
     assert_eq!(
@@ -148,14 +238,13 @@ impl Drop for Counted {
     }
 }
 
-#[test]
-fn values_are_dropped_exactly_once_across_trips_through_the_pool() {
+fn dropped_exactly_once<Q: Recycling<Counted> + 'static>() {
     const ITEMS: usize = 20_000;
     // Fewer than the 64-item backlog, so the producer never waits for a
     // value the consumer leaves in the queue.
     const LEFT_QUEUED: usize = 50;
     let drops: Arc<Vec<AtomicU32>> = Arc::new((0..ITEMS).map(|_| AtomicU32::new(0)).collect());
-    let q = Arc::new(TwoLockQueue::new());
+    let q = Arc::new(Q::create());
     // A producer and a consumer with a backlog of at most 64, so every node
     // goes round the free list many times.
     let producer = {
@@ -163,7 +252,7 @@ fn values_are_dropped_exactly_once_across_trips_through_the_pool() {
         let drops = Arc::clone(&drops);
         std::thread::spawn(move || {
             for id in 0..ITEMS {
-                q.enqueue(Counted {
+                q.put(Counted {
                     id,
                     drops: Arc::clone(&drops),
                 });
@@ -175,7 +264,7 @@ fn values_are_dropped_exactly_once_across_trips_through_the_pool() {
     };
     let mut taken = 0;
     while taken < ITEMS - LEFT_QUEUED {
-        match q.dequeue() {
+        match q.take() {
             Some(value) => {
                 assert_eq!(value.id, taken, "FIFO order violated");
                 taken += 1;
