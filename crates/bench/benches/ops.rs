@@ -57,19 +57,6 @@ fn heap_queues(c: &mut Criterion) {
             black_box(mutexed.lock().pop_front())
         })
     });
-    // Herlihy's universal construction: the "general methodology" the
-    // paper contrasts specialized algorithms against. Keep some items in
-    // the queue so the per-op whole-object copy is visible.
-    let herlihy = msq_baselines::HerlihyQueue::new();
-    for i in 0..64_u64 {
-        herlihy.enqueue(i);
-    }
-    group.bench_function("herlihy-universal", |b| {
-        b.iter(|| {
-            herlihy.enqueue(black_box(7u64));
-            black_box(herlihy.dequeue())
-        })
-    });
     group.finish();
 }
 

@@ -15,19 +15,22 @@
 //!    median wall time per simulated memory operation are recorded as the
 //!    yardstick for any change to the scheduler's token handoff.
 //! 3. **High-scale sweep completion**: a 32-seed sweep at 64 simulated
-//!    processors runs to completion — the raised processor ceiling
-//!    exercised end to end, with the per-sweep wall-clock printed.
+//!    processors, the raised processor ceiling exercised end to end. A
+//!    seed counts as completed when every pair ran and the queue drained
+//!    empty afterwards; `high_scale_completed` is true only when every
+//!    seed did.
 //!
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! simbench`. Writes `BENCH_sim.json` in the current directory. Pass
 //! `--smoke` for a scaled-down CI sanity run (same cells, same shape).
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use msq_harness::{run_simulated, Algorithm, WorkloadConfig};
-use msq_sim::{schedule_sweep_with, SimConfig, SimReport, Simulation};
+use msq_harness::{run_simulated, run_simulated_faulted, Algorithm, WorkloadConfig};
+use msq_sim::{schedule_sweep_with, FaultPlan, SimConfig, SimReport, Simulation};
 
 /// Seeds in the timed dispatch sweep.
 const SWEEP_SEEDS: u64 = 16;
@@ -148,6 +151,7 @@ fn main() {
         capacity: 8_192,
         mem_budget: None,
     };
+    let seeds_completed = AtomicU64::new(0);
     let start = Instant::now();
     schedule_sweep_with(
         SimConfig {
@@ -157,11 +161,30 @@ fn main() {
         high_seeds,
         4,
         |cfg| {
-            run_simulated(Algorithm::NewNonBlocking, cfg, &high_workload);
+            let seed = cfg.seed;
+            let run = run_simulated_faulted(
+                Algorithm::NewNonBlocking,
+                cfg,
+                &high_workload,
+                FaultPlan::new(),
+            );
+            if run.drained == Some(0) && run.pairs_completed == high_workload.pairs_total {
+                seeds_completed.fetch_add(1, Ordering::Relaxed);
+            } else {
+                eprintln!(
+                    "high-scale seed {seed:#x}: {} of {} pairs, drained {:?}",
+                    run.pairs_completed, high_workload.pairs_total, run.drained
+                );
+            }
         },
     );
     let high_scale_secs = start.elapsed().as_secs_f64();
-    eprintln!("high-scale sweep ({high_seeds} seeds x 64p): {high_scale_secs:.3}s wall-clock");
+    let seeds_completed = seeds_completed.into_inner();
+    let high_scale_completed = seeds_completed == high_seeds;
+    eprintln!(
+        "high-scale sweep ({high_seeds} seeds x 64p): {high_scale_secs:.3}s wall-clock, \
+         {seeds_completed} seed(s) completed and drained"
+    );
 
     // --- Acceptance. ---
     // The >= 2x dispatch claim can only be tested on a host that runs 4
@@ -171,7 +194,10 @@ fn main() {
     } else {
         (sweep_speedup >= 2.0).to_string()
     };
-    eprintln!("acceptance: sweep_speedup_ok={sweep_speedup_ok} high_scale_completed=true");
+    eprintln!(
+        "acceptance: sweep_speedup_ok={sweep_speedup_ok} \
+         high_scale_completed={high_scale_completed}"
+    );
 
     // --- JSON report. ---
     let mut json = String::from("{\n");
@@ -203,11 +229,11 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"completed\": true}},"
+        "  \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"seeds_completed\": {seeds_completed}, \"completed\": {high_scale_completed}}},"
     );
     let _ = writeln!(
         json,
-        "  \"acceptance\": {{\"sweep_speedup_ok\": {sweep_speedup_ok}, \"high_scale_completed\": true}}"
+        "  \"acceptance\": {{\"sweep_speedup_ok\": {sweep_speedup_ok}, \"high_scale_completed\": {high_scale_completed}}}"
     );
     json.push_str("}\n");
 

@@ -9,7 +9,10 @@
 //! * [`WordTwoLockQueue`] — the **two-lock queue** of Figure 2: separate
 //!   head and tail test-and-test_and_set locks (with bounded exponential
 //!   backoff) plus the same dummy-node trick, allowing one enqueue and one
-//!   dequeue to proceed concurrently.
+//!   dequeue to proceed concurrently. [`RepairableTwoLockQueue`] is the
+//!   same body under the [`msq_sync::Repair`] policy: revocable locks and
+//!   intent cells, so a survivor repairs a dead lock holder's critical
+//!   section (DESIGN.md §13).
 //!
 //! For downstream users the crate also provides idiomatic heap-allocated
 //! generic versions:
@@ -17,9 +20,6 @@
 //! * [`MsQueue`] — `MsQueue<T>` with release/acquire orderings, recycling
 //!   its nodes through a bounded free list once a hazard-pointer
 //!   (`msq-hazard`) snapshot shows no reader holds them;
-//! * [`EpochMsQueue`] — the same algorithm under crossbeam epoch-based
-//!   reclamation (the third answer to the reclamation question, for the
-//!   ablation benches);
 //! * [`TwoLockQueue`] — `TwoLockQueue<T>` over `parking_lot` mutexes,
 //!   recycling its nodes through a bounded free list; and
 //! * [`LockFreeStack`] — Treiber's stack (the paper's free-list
@@ -71,10 +71,8 @@
 
 #![warn(missing_docs)]
 
-mod epoch_queue;
 mod ms_queue;
 mod recycler;
-mod repairable_two_lock;
 mod seg_queue;
 mod sharded;
 pub mod spsc;
@@ -84,9 +82,7 @@ mod word_ms;
 mod word_seg;
 mod word_two_lock;
 
-pub use epoch_queue::EpochMsQueue;
 pub use ms_queue::MsQueue;
-pub use repairable_two_lock::RepairableTwoLockQueue;
 pub use seg_queue::{SegConfig, SegQueue, SegStats};
 pub use sharded::{ShardedQueue, WordShardedQueue, DEFAULT_SHARDS};
 pub use spsc::channel as spsc_channel;
@@ -94,4 +90,4 @@ pub use stack::LockFreeStack;
 pub use two_lock_queue::TwoLockQueue;
 pub use word_ms::WordMsQueue;
 pub use word_seg::WordSegQueue;
-pub use word_two_lock::WordTwoLockQueue;
+pub use word_two_lock::{RepairableTwoLockQueue, WordTwoLock, WordTwoLockQueue};

@@ -4,14 +4,10 @@
 use std::sync::Arc;
 
 use msq_arena::MemBudget;
-use msq_baselines::{
-    McQueue, PljQueue, RepairableMcQueue, RepairableSingleLockQueue, SingleLockQueue, ValoisQueue,
-};
-use msq_core::{
-    RepairableTwoLockQueue, WordMsQueue, WordSegQueue, WordShardedQueue, WordTwoLockQueue,
-    DEFAULT_SHARDS,
-};
-use msq_platform::{ConcurrentWordQueue, Platform};
+use msq_baselines::{MellorCrummey, PljQueue, SingleLock, ValoisQueue};
+use msq_core::{WordMsQueue, WordSegQueue, WordShardedQueue, WordTwoLock, DEFAULT_SHARDS};
+use msq_platform::{BackoffConfig, ConcurrentWordQueue, Platform};
+use msq_sync::{NoRepair, Repair, RepairPolicy};
 
 /// The six algorithms of Figures 3–5, in the paper's legend order, plus
 /// extension contenders (kept out of [`Algorithm::ALL`] so the reproduced
@@ -204,27 +200,7 @@ impl Algorithm {
         capacity: u32,
         budget: Option<Arc<MemBudget<P>>>,
     ) -> Arc<dyn ConcurrentWordQueue> {
-        match (self, budget) {
-            (Algorithm::SingleLock, Some(budget)) => Arc::new(
-                RepairableSingleLockQueue::with_capacity_and_budget(platform, capacity, budget),
-            ),
-            (Algorithm::SingleLock, None) => {
-                Arc::new(RepairableSingleLockQueue::with_capacity(platform, capacity))
-            }
-            (Algorithm::NewTwoLock, Some(budget)) => Arc::new(
-                RepairableTwoLockQueue::with_capacity_and_budget(platform, capacity, budget),
-            ),
-            (Algorithm::NewTwoLock, None) => {
-                Arc::new(RepairableTwoLockQueue::with_capacity(platform, capacity))
-            }
-            (Algorithm::MellorCrummey, Some(budget)) => Arc::new(
-                RepairableMcQueue::with_capacity_and_budget(platform, capacity, budget),
-            ),
-            (Algorithm::MellorCrummey, None) => {
-                Arc::new(RepairableMcQueue::with_capacity(platform, capacity))
-            }
-            (other, budget) => other.build_with_budget(platform, capacity, budget),
-        }
+        self.build_under::<P, Repair>(platform, capacity, budget)
     }
 
     /// As [`Algorithm::build`], optionally metering memory residency
@@ -240,46 +216,61 @@ impl Algorithm {
         capacity: u32,
         budget: Option<Arc<MemBudget<P>>>,
     ) -> Arc<dyn ConcurrentWordQueue> {
-        if let Some(budget) = budget {
-            return match self {
-                Algorithm::SingleLock => Arc::new(SingleLockQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::MellorCrummey => Arc::new(McQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::Valois => Arc::new(ValoisQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::PljNonBlocking => Arc::new(PljQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::NewNonBlocking => Arc::new(WordMsQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::SegBatched => Arc::new(WordSegQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::Sharded => Arc::new(WordShardedQueue::with_shards_and_budget(
+        self.build_under::<P, NoRepair>(platform, capacity, budget)
+    }
+
+    /// Builds the queue with the blocking queues under repair policy `R`;
+    /// the non-blocking queues ignore it.
+    fn build_under<P: Platform, R: RepairPolicy<P>>(
+        self,
+        platform: &P,
+        capacity: u32,
+        budget: Option<Arc<MemBudget<P>>>,
+    ) -> Arc<dyn ConcurrentWordQueue> {
+        let backoff = BackoffConfig::DEFAULT;
+        match (self, budget) {
+            (Algorithm::SingleLock, budget) => Arc::new(
+                SingleLock::<P, R>::with_budget_and_backoff(platform, capacity, budget, backoff),
+            ),
+            (Algorithm::MellorCrummey, budget) => Arc::new(
+                MellorCrummey::<P, R>::with_budget_and_backoff(platform, capacity, budget, backoff),
+            ),
+            (Algorithm::NewTwoLock, budget) => Arc::new(
+                WordTwoLock::<P, R>::with_budget_and_backoff(platform, capacity, budget, backoff),
+            ),
+            (Algorithm::Valois, Some(budget)) => Arc::new(ValoisQueue::with_capacity_and_budget(
+                platform, capacity, budget,
+            )),
+            (Algorithm::PljNonBlocking, Some(budget)) => Arc::new(
+                PljQueue::with_capacity_and_budget(platform, capacity, budget),
+            ),
+            (Algorithm::NewNonBlocking, Some(budget)) => Arc::new(
+                WordMsQueue::with_capacity_and_budget(platform, capacity, budget),
+            ),
+            (Algorithm::SegBatched, Some(budget)) => Arc::new(
+                WordSegQueue::with_capacity_and_budget(platform, capacity, budget),
+            ),
+            (Algorithm::Sharded, Some(budget)) => {
+                Arc::new(WordShardedQueue::with_shards_and_budget(
                     platform,
                     capacity,
                     DEFAULT_SHARDS,
                     budget,
-                )),
-                Algorithm::NewTwoLock => Arc::new(WordTwoLockQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-            };
-        }
-        match self {
-            Algorithm::SingleLock => Arc::new(SingleLockQueue::with_capacity(platform, capacity)),
-            Algorithm::MellorCrummey => Arc::new(McQueue::with_capacity(platform, capacity)),
-            Algorithm::Valois => Arc::new(ValoisQueue::with_capacity(platform, capacity)),
-            Algorithm::NewTwoLock => Arc::new(WordTwoLockQueue::with_capacity(platform, capacity)),
-            Algorithm::PljNonBlocking => Arc::new(PljQueue::with_capacity(platform, capacity)),
-            Algorithm::NewNonBlocking => Arc::new(WordMsQueue::with_capacity(platform, capacity)),
-            Algorithm::SegBatched => Arc::new(WordSegQueue::with_capacity(platform, capacity)),
-            Algorithm::Sharded => Arc::new(WordShardedQueue::with_capacity(platform, capacity)),
+                ))
+            }
+            (Algorithm::Valois, None) => Arc::new(ValoisQueue::with_capacity(platform, capacity)),
+            (Algorithm::PljNonBlocking, None) => {
+                Arc::new(PljQueue::with_capacity(platform, capacity))
+            }
+            (Algorithm::NewNonBlocking, None) => {
+                Arc::new(WordMsQueue::with_capacity(platform, capacity))
+            }
+            (Algorithm::SegBatched, None) => {
+                Arc::new(WordSegQueue::with_capacity(platform, capacity))
+            }
+            (Algorithm::Sharded, None) => {
+                Arc::new(WordShardedQueue::with_capacity(platform, capacity))
+            }
         }
     }
 }

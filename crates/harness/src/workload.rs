@@ -115,7 +115,7 @@ pub fn run_simulated(
         },
         FaultPlan::new(),
     );
-    debug_assert_eq!(out.point.drained, Some(0), "workload must drain the queue");
+    assert_eq!(out.point.drained, Some(0), "workload must drain the queue");
     out.point.point
 }
 

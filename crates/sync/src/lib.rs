@@ -8,6 +8,11 @@
 //! extension, useful in the ablation benches). All are expressed over
 //! [`msq_platform::Platform`] so they run natively and under simulation.
 //!
+//! The blocking queues take their locks through a zero-sized
+//! [`RepairPolicy`]: [`NoRepair`] (plain [`TtasLock`]s, the paper's
+//! algorithms) or [`Repair`] ([`RevocableLock`]s plus intent cells, so a
+//! survivor can repair a dead holder's critical section; DESIGN.md §13).
+//!
 //! # Example
 //!
 //! ```
@@ -25,8 +30,10 @@
 
 mod locks;
 mod qlocks;
+mod repair;
 mod revocable;
 
 pub use locks::{RawLock, TasLock, TicketLock, TtasLock};
 pub use qlocks::{ClhLock, ClhToken, McsLock, TokenLock};
+pub use repair::{NoRepair, Repair, RepairLabels, RepairPolicy};
 pub use revocable::{Acquired, RevocableLock};

@@ -11,8 +11,11 @@
 //! the word from `held(dead)` to `repairing(self)`. The successful
 //! revoker enters the critical section knowing the invariant may be
 //! torn mid-operation; it runs the owning structure's repair routine
-//! before doing anything else (see the `Repairable*` queue variants in
-//! `msq-baselines`/`msq-core`).
+//! before doing anything else. The blocking queues in `msq-baselines`
+//! and `msq-core` take this lock through the [`crate::Repair`] policy,
+//! whose intent cells tell the revoker what was in flight; under the
+//! default [`crate::NoRepair`] policy they take a plain
+//! [`crate::TtasLock`] instead.
 //!
 //! Safety of the `held(dead) → repairing(self)` transition:
 //!

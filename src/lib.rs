@@ -74,13 +74,13 @@ pub use msq_sync as sync;
 
 pub use msq_arena::{MemBudget, Reservation, SegArena};
 pub use msq_baselines::{
-    HerlihyQueue, LamportQueue, McQueue, PljQueue, RepairableMcQueue, RepairableSingleLockQueue,
-    SingleLockQueue, TreiberStack, ValoisQueue,
+    LamportQueue, McQueue, PljQueue, RepairableMcQueue, RepairableSingleLockQueue, SingleLockQueue,
+    TreiberStack, ValoisQueue,
 };
 pub use msq_core::{
-    spsc_channel, EpochMsQueue, LockFreeStack, MsQueue, RepairableTwoLockQueue, SegConfig,
-    SegQueue, SegStats, ShardedQueue, TwoLockQueue, WordMsQueue, WordSegQueue, WordShardedQueue,
-    WordTwoLockQueue, DEFAULT_SHARDS,
+    spsc_channel, LockFreeStack, MsQueue, RepairableTwoLockQueue, SegConfig, SegQueue, SegStats,
+    ShardedQueue, TwoLockQueue, WordMsQueue, WordSegQueue, WordShardedQueue, WordTwoLockQueue,
+    DEFAULT_SHARDS,
 };
 pub use msq_harness::{
     percentile_ns, run_figure, run_native, run_native_batched, run_scenario_native,

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ms_queues::{EpochMsQueue, LockFreeStack, MsQueue, SegConfig, SegQueue, TwoLockQueue};
+use ms_queues::{LockFreeStack, MsQueue, SegConfig, SegQueue, TwoLockQueue};
 
 struct Tracked {
     drops: Arc<AtomicU64>,
@@ -88,15 +88,6 @@ fn ms_queue_drops_every_value_exactly_once() {
     run_queue_reclamation(
         Arc::new(MsQueue::new()),
         |q: &MsQueue<Tracked>, v| q.enqueue(v),
-        |q| q.dequeue(),
-    );
-}
-
-#[test]
-fn epoch_queue_drops_every_value_exactly_once() {
-    run_queue_reclamation(
-        Arc::new(EpochMsQueue::new()),
-        |q: &EpochMsQueue<Tracked>, v| q.enqueue(v),
         |q| q.dequeue(),
     );
 }
